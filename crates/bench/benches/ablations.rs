@@ -1,6 +1,6 @@
-//! Design-choice ablations called out in DESIGN.md §6:
-//! alignment-buffer overhead (Figure 7), retraction repair vs recompute in
-//! the join, and SC-mode cost in SEQUENCE.
+//! Design-choice ablations: alignment-buffer overhead (Figure 7),
+//! retraction repair vs recompute in the join, and SC-mode cost in
+//! SEQUENCE.
 
 use cedr_algebra::expr::{CmpOp, Pred, Scalar};
 use cedr_algebra::pattern::{Consumption, ScMode, Selection};

@@ -192,8 +192,8 @@ fn write_summary(
     let (recovered, qr) = run_recovered(scripts);
     for (qa, qb) in qs.iter().zip(qr.iter()) {
         assert_eq!(
-            straight.collector(*qa).stamped(),
-            recovered.collector(*qb).stamped(),
+            straight.collector(*qa).delta_log(),
+            recovered.collector(*qb).delta_log(),
             "recovered tape diverged on {}",
             straight.query_name(*qa)
         );

@@ -1,6 +1,6 @@
-//! Fan-out benchmark: string-keyed per-event `Engine::push` vs batched
-//! ingestion vs the sessioned `SourceHandle` paths, with 8 standing
-//! queries subscribed to one input stream.
+//! Fan-out benchmark: a string-keyed session per event vs batched
+//! ingestion vs one long-lived `SourceHandle`, with 8 standing queries
+//! subscribed to one input stream.
 //!
 //! This is the workload the Arc-shared, batch-at-a-time core was built
 //! for: every message fans out to every query, so the old clone-per-query
@@ -57,21 +57,22 @@ fn workload() -> Vec<Message> {
     b.build_ordered(Some(dur(50)), true)
 }
 
-/// The historical string-keyed shim: catalog + routing lookups per push.
-#[allow(deprecated)]
+/// A throwaway session per message: catalog + routing lookups per push.
 fn run_per_event(msgs: &[Message]) -> Engine {
     let mut e = engine();
     for m in msgs {
-        e.push("TICK", m.clone()).unwrap();
+        e.source("TICK").unwrap().send(m.clone());
     }
     e
 }
 
-#[allow(deprecated)]
 fn run_batched(msgs: &[Message]) -> Engine {
     let mut e = engine();
     let batch = MessageBatch::from(msgs.to_vec());
-    e.push_batch("TICK", &batch).unwrap();
+    let mut h = e.source("TICK").unwrap().manual_flush();
+    h.stage_batch(&batch);
+    drop(h);
+    e.run_to_quiescence();
     e
 }
 

@@ -283,8 +283,8 @@ fn write_summary(msgs: &MessageBatch, wide: &MessageBatch) {
     for q in 0..N_QUERIES {
         let q = QueryId(q);
         assert_eq!(
-            unfused.collector(q).stamped(),
-            fused.collector(q).stamped(),
+            unfused.collector(q).delta_log(),
+            fused.collector(q).delta_log(),
             "fused tape diverged on {q:?}"
         );
         assert!(fused.stats(q).fused_stages >= 3, "fusion did not engage");
@@ -305,15 +305,15 @@ fn write_summary(msgs: &MessageBatch, wide: &MessageBatch) {
         let compiled = run_wide(wide, true, true, spec);
         for q in 0..N_WIDE_QUERIES {
             let q = QueryId(q);
-            let tape = reference.collector(q).stamped();
+            let tape = reference.collector(q).delta_log();
             assert_eq!(
                 tape,
-                interp.collector(q).stamped(),
+                interp.collector(q).delta_log(),
                 "{level}: interpreted wide tape diverged on {q:?}"
             );
             assert_eq!(
                 tape,
-                compiled.collector(q).stamped(),
+                compiled.collector(q).delta_log(),
                 "{level}: compiled wide tape diverged on {q:?}"
             );
             assert!(

@@ -158,8 +158,8 @@ fn write_summary() {
         let channel = run_channel(&s);
         for q in 0..N_QUERIES {
             assert_eq!(
-                staged.collector(QueryId(q)).stamped(),
-                channel.collector(QueryId(q)).stamped(),
+                staged.collector(QueryId(q)).delta_log(),
+                channel.collector(QueryId(q)).delta_log(),
                 "channel ingestion diverged on q{q} at {providers} providers"
             );
         }

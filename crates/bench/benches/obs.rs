@@ -122,8 +122,8 @@ fn write_summary(msgs: &MessageBatch) {
     for q in 0..N_QUERIES {
         let q = QueryId(q);
         assert_eq!(
-            off.collector(q).stamped(),
-            instrumented.collector(q).stamped(),
+            off.collector(q).delta_log(),
+            instrumented.collector(q).delta_log(),
             "telemetry perturbed the tape on {q:?}"
         );
     }

@@ -1,6 +1,6 @@
 //! Operator micro-benchmarks: throughput of each physical operator on
 //! fixed synthetic workloads (events/sec shapes, not absolute testbed
-//! numbers — see EXPERIMENTS.md).
+//! numbers).
 
 use cedr_algebra::expr::{CmpOp, Pred, Scalar};
 use cedr_algebra::relational::AggFunc;

@@ -1,4 +1,4 @@
-//! Parallel sharded-scheduler benchmark: the 8-query fan-out workload of
+//! Parallel shard-drain benchmark: the 8-query fan-out workload of
 //! `benches/fanout.rs` driven through [`EngineConfig::threaded`] at 1, 2
 //! and 4 workers, against the PR 1 per-event serial ingestion baseline.
 //!
@@ -81,13 +81,12 @@ fn run_threads(threads: usize, batch: &MessageBatch) -> Engine {
     e
 }
 
-/// The PR 1 per-event baseline, kept on the deprecated string-keyed shim
-/// so the trajectory stays comparable across PRs.
-#[allow(deprecated)]
+/// The PR 1 per-event baseline — a throwaway string-keyed session per
+/// message — so the trajectory stays comparable across PRs.
 fn run_per_event(batch: &MessageBatch) -> Engine {
     let mut e = engine(1);
     for m in batch {
-        e.push("TICK", m.clone()).unwrap();
+        e.source("TICK").unwrap().send(m.clone());
     }
     e.seal();
     e
@@ -130,8 +129,8 @@ fn write_summary(batch: &MessageBatch) {
         let par = run_threads(threads, batch);
         for q in 0..N_QUERIES {
             assert_eq!(
-                serial.collector(QueryId(q)).stamped(),
-                par.collector(QueryId(q)).stamped(),
+                serial.collector(QueryId(q)).delta_log(),
+                par.collector(QueryId(q)).delta_log(),
                 "parallel run diverged on q{q} at {threads} workers"
             );
         }

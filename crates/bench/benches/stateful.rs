@@ -169,13 +169,13 @@ fn write_summary(agg_tape: &MessageBatch, l_tape: &MessageBatch, r_tape: &Messag
             run_join(4, chunk, l_tape, r_tape),
         );
         assert_eq!(
-            a1.collector(q).stamped(),
-            a4.collector(q).stamped(),
+            a1.collector(q).delta_log(),
+            a4.collector(q).delta_log(),
             "aggregate diverged across workers at chunk {chunk}"
         );
         assert_eq!(
-            j1.collector(q).stamped(),
-            j4.collector(q).stamped(),
+            j1.collector(q).delta_log(),
+            j4.collector(q).delta_log(),
             "join diverged across workers at chunk {chunk}"
         );
     }

@@ -1,4 +1,4 @@
-//! Regenerates the paper artifact; see DESIGN.md §4.
+//! Regenerates the paper artifact (see `cedr_bench::figures`).
 fn main() {
     print!("{}", cedr_bench::figures::fig10());
 }

@@ -1,5 +1,4 @@
-//! Regenerates every figure and table of the paper in one run; the output
-//! is what EXPERIMENTS.md records.
+//! Regenerates every figure and table of the paper in one run.
 #[allow(clippy::type_complexity)]
 fn main() {
     let artifacts: [(&str, fn() -> String); 12] = [

@@ -1,6 +1,6 @@
 //! One regeneration function per paper artifact. Each returns the rendered
 //! report; the `src/bin/*` targets are thin wrappers, and `repro_all` runs
-//! everything (this is what EXPERIMENTS.md records).
+//! everything.
 
 use crate::{high_orderliness, low_orderliness, machine_catalog, machine_streams, run_cell};
 use cedr_algebra::expr::{CmpOp, Pred, Scalar};

@@ -1,6 +1,7 @@
 //! Shared harness code for the figure-regeneration binaries and Criterion
-//! benches. See DESIGN.md §4 for the experiment index (which binary
-//! regenerates which paper artifact) and EXPERIMENTS.md for recorded runs.
+//! benches. Each `src/bin/figNN_*` / `tabNN_*` binary regenerates the
+//! paper artifact it is named after (see [`figures`]); the engine's layout
+//! is described in `docs/architecture.md`.
 
 use cedr_lang::{bind, lower, optimize, Catalog, FieldType, LoweredPlan};
 use cedr_runtime::ConsistencySpec;

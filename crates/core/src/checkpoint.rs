@@ -18,8 +18,9 @@
 //!   generations), every operator module's state across all five
 //!   families (stateless/fused boundary state, group-aggregate tables,
 //!   join indexes, sequence slots, negation state), and the sink
-//!   collector (history, stamped tape, subscription delta log, per-chain
-//!   CTI cursors).
+//!   collector's output delta log — each output event once; the
+//!   collector's statistics, output guarantee and CEDR clock are
+//!   re-derived from the log on restore.
 //!
 //! The manifest carries the format version, the round number, a
 //! **configuration hash** (engine config + catalog + query registrations,

@@ -35,27 +35,10 @@
 //! * **Consumption** — [`Engine::subscribe`] opens a
 //!   [`Subscription`] cursoring the query
 //!   collector's append-only [`OutputDelta`](cedr_streams::OutputDelta)
-//!   log. Polling drains staged work and returns exactly the
-//!   insert/retract/CTI deltas appended since the last poll —
-//!   bit-identical to the collector's stamped tape at every consistency
-//!   level and thread count — instead of re-reading whole output tables.
-//!
-//! # Migration (string-keyed shims → sessions)
-//!
-//! The historical fire-and-forget surface still works but is deprecated:
-//!
-//! | old (deprecated)                  | new                                       |
-//! |-----------------------------------|-------------------------------------------|
-//! | `engine.push_insert(ty, ev)?`     | `engine.source(ty)?.insert(at, fields)?`  |
-//! | `engine.push_retract(ty, ev, e)?` | `handle.retract(&ev, e)`                  |
-//! | `engine.push_cti(ty, t)?`         | `handle.cti(t)`                           |
-//! | `engine.push(ty, msg)?`           | `handle.send(msg)` (or `stage` + `flush`) |
-//! | `engine.push_batch(ty, &b)?`      | `handle.stage_batch(&b); handle.flush()`  |
-//! | `engine.output(q)`                | `engine.collector(q)`; incrementally: `engine.subscribe(q)?` |
-//!
-//! One handle per burst amortises resolution over every message staged
-//! through it; the shims open a throwaway session per call and are
-//! therefore never faster than the handles they wrap.
+//!   log — the collector's single per-message store. Polling drains
+//!   staged work and returns exactly the insert/retract/CTI deltas
+//!   appended since the last poll, bit-identical at every consistency
+//!   level and thread count, instead of re-reading whole output tables.
 //!
 //! # Sharding and threading
 //!
@@ -69,8 +52,8 @@
 //! standing queries share a stream. The
 //! [`Engine::enqueue_batch`]/[`Engine::run_to_quiescence`] pair lets
 //! callers stage several per-type batches (e.g. one per provider stream)
-//! and then drain every query's dataflow once, maximising the runs the
-//! schedulers can amortise.
+//! and then drain every query's dataflow once, maximising the runs each
+//! dataflow's sweep can amortise.
 //!
 //! With `threads > 1`, [`Engine::run_to_quiescence`] drains the shards on
 //! scoped worker threads — each worker owns its shard's ingress queue and
@@ -78,9 +61,10 @@
 //! resolved at staging time, and shard state is disjoint by construction).
 //! Every query's dataflow still sees its staged batches in exactly the
 //! enqueue order, so threaded and serial drains produce bit-identical
-//! outputs at every consistency level; queries are independent dataflows,
-//! which makes the deterministic merge argument of
-//! [`cedr_runtime::scheduler`] trivial at this layer.
+//! outputs at every consistency level: queries are independent,
+//! single-threaded dataflows, and the per-query shard drain is the
+//! engine's one parallelism layer (the serial drain is the same per-shard
+//! code run on the calling thread).
 //!
 //! # Durability
 //!
@@ -89,11 +73,11 @@
 //! family (stateless boundary/alignment state, group-aggregate tables,
 //! join indexes, sequence/negation state), the channel pump's
 //! resequencer (buffered emissions and per-producer cursors), each
-//! query's collector (history tables, stamped tape, subscription delta
-//! log), the sharded routing table, the engine configuration and round
-//! counters — into a versioned, length-prefixed binary image (see
-//! [`cedr_durable`]) whose manifest carries the format version, the
-//! round number, a configuration hash and a content checksum.
+//! query's output delta log (the collector is rebuilt from it), the
+//! sharded routing table, the engine configuration and round counters —
+//! into a versioned, length-prefixed binary image (see [`cedr_durable`])
+//! whose manifest carries the format version, the round number, a
+//! configuration hash and a content checksum.
 //! [`Engine::restore`] validates the whole image (framing, checksums,
 //! format version, configuration hash, section inventory) **before**
 //! mutating anything, then rebuilds an identically configured engine —
@@ -147,7 +131,7 @@
 //! (`1`/`on` → a [`DEFAULT_TRACE_CAPACITY`]-event ring, any other number
 //! → that capacity). [`Engine::trace_events`] returns the buffered
 //! window of [`TraceEvent`]s — round start/end,
-//! shard and worker drains, operator runs, backpressure hits,
+//! shard drains, operator runs, backpressure hits,
 //! resequencer stalls, checkpoint/restore, seal — oldest first.
 
 use crate::ingest::{ChannelIngress, ChannelSource, IngressStats};
@@ -159,7 +143,7 @@ use cedr_lang::{
 };
 use cedr_obs::{CheckpointCounters, ObsHub, TraceEvent};
 use cedr_runtime::{ConsistencySpec, OpStats};
-use cedr_streams::{Collector, Message, MessageBatch, Retraction};
+use cedr_streams::{Collector, Message, MessageBatch};
 use cedr_temporal::{Event, EventId, Interval, Payload, TimePoint, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -611,8 +595,8 @@ pub struct Engine {
     pub(crate) catalog: Catalog,
     pub(crate) queries: Vec<RunningQuery>,
     /// Routing shards; query `q` lives in shard `shard_of_query[q]`.
-    /// Rebuilt incrementally at registration; makes `push` lookups instead
-    /// of a scan over every standing query.
+    /// Rebuilt incrementally at registration; makes routing a lookup
+    /// instead of a scan over every standing query.
     pub(crate) shards: Vec<EngineShard>,
     pub(crate) shard_of_query: Vec<usize>,
     pub(crate) config: EngineConfig,
@@ -806,8 +790,8 @@ impl Engine {
     /// Resolution happens **once**: the handle captures the event type's
     /// payload schema and its `(query, port)` subscriber lists per routing
     /// shard, so staging and flushing never repeat the string-keyed
-    /// lookups the deprecated [`Engine::push`] paid per message. The
-    /// handle stages a local [`MessageBatch`] via its typed
+    /// lookups per message. The handle stages a local [`MessageBatch`]
+    /// via its typed
     /// [`insert`](SourceHandle::insert) / [`retract`](SourceHandle::retract)
     /// / [`cti`](SourceHandle::cti) builders and flushes it against the
     /// bounded per-shard ingress ([`EngineConfig::ingress_capacity`]) —
@@ -941,11 +925,10 @@ impl Engine {
     /// each [`poll`](Subscription::poll) first drains any staged ingress
     /// (consumption drives the scheduler) and then returns exactly the
     /// deltas appended since the previous poll — the insert/retract/CTI
-    /// change stream itself, bit-identical to
-    /// [`Collector::stamped`](cedr_streams::Collector::stamped) order at
-    /// every consistency level and thread count, with no state re-read and
-    /// no copying. Several subscriptions may cursor the same query
-    /// independently, and a sealed engine can still be drained.
+    /// change stream itself, bit-identical at every consistency level and
+    /// thread count, with no state re-read and no copying. Several
+    /// subscriptions may cursor the same query independently, and a
+    /// sealed engine can still be drained.
     pub fn subscribe(&self, q: QueryId) -> Result<Subscription, EngineError> {
         if q.0 >= self.queries.len() {
             return Err(EngineError::UnknownQuery(q));
@@ -953,8 +936,8 @@ impl Engine {
         Ok(Subscription::new(q))
     }
 
-    /// The output collector of a query: the accumulated history tables,
-    /// stamped tape and delta log behind every subscription.
+    /// The output collector of a query: the delta log behind every
+    /// subscription, and the history/net tables folded from it on demand.
     ///
     /// # Panics
     /// On an unregistered `QueryId` (use [`Engine::subscribe`] for a typed
@@ -1128,11 +1111,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Immediate per-message delivery to pre-resolved subscribers: the
-    /// historical [`Engine::push`] cascade minus its per-call lookups.
-    /// Ingestion order is preserved across the APIs: staged ingress is
-    /// drained first, so a direct send (a CTI, say) can never overtake
-    /// data that was enqueued before it.
+    /// Immediate per-message delivery to pre-resolved subscribers (one
+    /// cascade per message). Ingestion order is preserved across the
+    /// APIs: staged ingress is drained first, so a direct send (a CTI,
+    /// say) can never overtake data that was enqueued before it.
     pub(crate) fn send_resolved(&mut self, subs: &[(usize, SubscriberList)], msg: Message) {
         if self.shards.iter().any(|s| !s.ingress.is_empty()) {
             self.run_to_quiescence();
@@ -1185,97 +1167,51 @@ impl Engine {
             .sum()
     }
 
-    /// The uninstrumented drain behind [`Engine::run_to_quiescence`].
+    /// The uninstrumented drain behind [`Engine::run_to_quiescence`]: every
+    /// shard with staged ingress or queries runs [`drain_shard`] — on the
+    /// calling thread, or on one scoped worker per shard when more than
+    /// one shard has work and the engine is configured threaded.
     fn drain_round(&mut self) {
         self.rounds_completed += 1;
         let busy = self.shards.iter().filter(|s| !s.ingress.is_empty()).count();
-        if self.config.threads <= 1 || busy <= 1 {
-            let mut drained: Vec<(MessageBatch, SubscriberList)> = Vec::new();
-            let mut messages = 0u64;
-            for shard in &mut self.shards {
-                shard.staged_msgs = 0;
-                for (batch, subs) in std::mem::take(&mut shard.ingress) {
-                    shard.stats.admitted_batches += 1;
-                    shard.stats.admitted_messages += batch.len() as u64;
-                    messages += batch.len() as u64;
-                    drained.push((batch, subs));
-                }
-            }
-            // Group the drained round per query (shard order preserves
-            // each query's enqueue order — a query lives in exactly one
-            // shard), then hand each dataflow its whole round at once.
-            let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
-                (0..self.queries.len()).map(|_| Vec::new()).collect();
-            for (batch, subs) in &drained {
-                for &(q, port) in subs.iter() {
-                    rounds[q].push((port, batch));
-                }
-            }
-            let t0 = self.obs.tracing().then(|| self.obs.now());
-            for (q, round) in self.queries.iter_mut().zip(rounds) {
-                q.plan.dataflow.run_round(round);
-            }
-            // One ShardDrain for the whole serial sweep, by convention on
-            // shard 0 (the histogram stays parallel-path only).
-            if let Some(t0) = t0 {
-                let nanos = self.obs.now().saturating_sub(t0);
-                self.obs.trace(|| TraceEvent::ShardDrain {
-                    shard: 0,
-                    batches: drained.len().min(u32::MAX as usize) as u32,
-                    messages: messages.min(u32::MAX as u64) as u32,
-                    nanos,
-                });
-            }
-            return;
-        }
-        // Parallel drain: hand each shard its own queries. Buckets are
-        // disjoint because every query belongs to exactly one shard, and
-        // ordered by query index, so per-shard drain order is
+        // Buckets are disjoint because every query belongs to exactly one
+        // shard, and ordered by query index, so per-shard drain order is
         // deterministic.
-        let shard_of = &self.shard_of_query;
         let mut buckets: Vec<Vec<(usize, &mut RunningQuery)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (qi, rq) in self.queries.iter_mut().enumerate() {
-            buckets[shard_of[qi]].push((qi, rq));
+            buckets[self.shard_of_query[qi]].push((qi, rq));
         }
-        let obs = Arc::clone(&self.obs);
+        let work = self
+            .shards
+            .iter_mut()
+            .zip(buckets)
+            .enumerate()
+            .filter(|(_, (shard, bucket))| !(shard.ingress.is_empty() && bucket.is_empty()));
+        let hub = &self.obs;
+        if self.config.threads <= 1 || busy <= 1 {
+            // One ShardDrain for the whole serial sweep, by convention on
+            // shard 0 (the histogram stays parallel-path only).
+            let t0 = hub.tracing().then(|| hub.now());
+            let (mut batches, mut messages) = (0usize, 0u64);
+            for (_, (shard, bucket)) in work {
+                let (b, m) = drain_shard(shard, bucket);
+                batches += b;
+                messages += m;
+            }
+            if let Some(t0) = t0 {
+                trace_shard_drain(hub, 0, batches, messages, hub.now().saturating_sub(t0));
+            }
+            return;
+        }
         std::thread::scope(|scope| {
-            for (sid, (shard, bucket)) in self.shards.iter_mut().zip(buckets).enumerate() {
-                if shard.ingress.is_empty() && bucket.is_empty() {
-                    continue;
-                }
-                let hub = Arc::clone(&obs);
+            for (sid, (shard, bucket)) in work {
                 scope.spawn(move || {
                     let t0 = hub.now();
-                    shard.staged_msgs = 0;
-                    let drained = std::mem::take(&mut shard.ingress);
-                    let mut messages = 0u64;
-                    let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
-                        (0..bucket.len()).map(|_| Vec::new()).collect();
-                    for (batch, subs) in &drained {
-                        shard.stats.admitted_batches += 1;
-                        shard.stats.admitted_messages += batch.len() as u64;
-                        messages += batch.len() as u64;
-                        for &(q, port) in subs.iter() {
-                            // `bucket` is sorted ascending by query index.
-                            let slot = bucket
-                                .binary_search_by_key(&q, |(qi, _)| *qi)
-                                .expect("query routed to its own shard");
-                            rounds[slot].push((port, batch));
-                        }
-                    }
-                    let batches = drained.len();
-                    for ((_, rq), round) in bucket.into_iter().zip(rounds) {
-                        rq.plan.dataflow.run_round(round);
-                    }
+                    let (batches, messages) = drain_shard(shard, bucket);
                     let nanos = hub.now().saturating_sub(t0);
                     hub.with_timings(|t| t.shard_drain.record(nanos));
-                    hub.trace(|| TraceEvent::ShardDrain {
-                        shard: sid.min(u16::MAX as usize) as u16,
-                        batches: batches.min(u32::MAX as usize) as u32,
-                        messages: messages.min(u32::MAX as u64) as u32,
-                        nanos,
-                    });
+                    trace_shard_drain(hub, sid, batches, messages, nanos);
                 });
             }
         });
@@ -1314,9 +1250,8 @@ impl Engine {
     /// Sealing is **idempotent**: the guarantee is broadcast once, and
     /// repeated calls are no-ops rather than fresh `CTI(∞)` rounds. After
     /// sealing, every ingestion entry point ([`Engine::source`],
-    /// [`Engine::enqueue_batch`], [`Engine::advance_all`], the deprecated
-    /// `push_*` shims) returns [`EngineError::Sealed`]; subscriptions keep
-    /// draining normally.
+    /// [`Engine::enqueue_batch`], [`Engine::advance_all`]) returns
+    /// [`EngineError::Sealed`]; subscriptions keep draining normally.
     ///
     /// The channel ingress is **torn down**: live [`ChannelSource`]s are
     /// disconnected, so a provider blocked on a full channel unblocks
@@ -1354,90 +1289,6 @@ impl Engine {
         self.sealed
     }
 
-    // ------------------------------------------------------------------
-    // Deprecated string-keyed shims (see the migration note in the
-    // module docs) — thin wrappers over handles and the collector.
-    // ------------------------------------------------------------------
-
-    /// Push a message on the named input stream; every query consuming the
-    /// type receives it via the routing table.
-    #[deprecated(
-        since = "0.3.0",
-        note = "open a session once with `engine.source(ty)?` and use \
-                `SourceHandle::send` (or stage/flush for batching)"
-    )]
-    pub fn push(&mut self, event_type: &str, msg: Message) -> Result<(), EngineError> {
-        self.source(event_type)?.send(msg);
-        Ok(())
-    }
-
-    /// Push a whole batch on the named input stream and drain.
-    #[deprecated(
-        since = "0.3.0",
-        note = "open a session once with `engine.source(ty)?`, stage with \
-                `SourceHandle::stage_batch`, then flush"
-    )]
-    pub fn push_batch(
-        &mut self,
-        event_type: &str,
-        batch: &MessageBatch,
-    ) -> Result<(), EngineError> {
-        {
-            let mut h = self.source(event_type)?.manual_flush();
-            h.stage_batch(batch);
-            h.flush();
-        }
-        self.run_to_quiescence();
-        Ok(())
-    }
-
-    /// Push an insert.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `engine.source(ty)?` with `SourceHandle::insert` (typed, \
-                resolve-once) instead"
-    )]
-    pub fn push_insert(&mut self, event_type: &str, event: Event) -> Result<(), EngineError> {
-        self.source(event_type)?.send(Message::insert_event(event));
-        Ok(())
-    }
-
-    /// Push a retraction shortening `event` to `[Vs, new_end)`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `engine.source(ty)?` with `SourceHandle::retract` instead"
-    )]
-    pub fn push_retract(
-        &mut self,
-        event_type: &str,
-        event: Event,
-        new_end: TimePoint,
-    ) -> Result<(), EngineError> {
-        self.source(event_type)?
-            .send(Message::Retract(Retraction::new(event, new_end)));
-        Ok(())
-    }
-
-    /// Declare an occurrence-time guarantee on one input stream.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `engine.source(ty)?` with `SourceHandle::cti` instead"
-    )]
-    pub fn push_cti(&mut self, event_type: &str, t: TimePoint) -> Result<(), EngineError> {
-        self.source(event_type)?.send(Message::Cti(t));
-        Ok(())
-    }
-
-    /// The output collector of a query.
-    #[deprecated(
-        since = "0.3.0",
-        note = "renamed to `collector`; for incremental consumption of the \
-                change stream use `engine.subscribe(q)?`"
-    )]
-    pub fn output(&self, q: QueryId) -> &Collector {
-        self.collector(q)
-    }
-
     /// Plan-wide runtime statistics of a query (Figure-8 observables).
     pub fn stats(&self, q: QueryId) -> OpStats {
         self.queries[q.0].plan.dataflow.total_stats()
@@ -1467,6 +1318,43 @@ impl Engine {
     pub fn query_count(&self) -> usize {
         self.queries.len()
     }
+}
+
+/// Drain one shard: admit its staged ingress, group the batches per
+/// query of `bucket` (the shard's queries, ascending by query index — a
+/// query lives in exactly one shard, so shard order preserves each
+/// query's enqueue order) and hand every dataflow its whole round at
+/// once. Returns the `(batches, messages)` admitted.
+fn drain_shard(shard: &mut EngineShard, bucket: Vec<(usize, &mut RunningQuery)>) -> (usize, u64) {
+    shard.staged_msgs = 0;
+    let drained = std::mem::take(&mut shard.ingress);
+    let mut messages = 0u64;
+    let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
+        (0..bucket.len()).map(|_| Vec::new()).collect();
+    for (batch, subs) in &drained {
+        shard.stats.admitted_batches += 1;
+        shard.stats.admitted_messages += batch.len() as u64;
+        messages += batch.len() as u64;
+        for &(q, port) in subs.iter() {
+            let slot = bucket
+                .binary_search_by_key(&q, |(qi, _)| *qi)
+                .expect("query routed to its own shard");
+            rounds[slot].push((port, batch));
+        }
+    }
+    for ((_, rq), round) in bucket.into_iter().zip(rounds) {
+        rq.plan.dataflow.run_round(round);
+    }
+    (drained.len(), messages)
+}
+
+fn trace_shard_drain(hub: &ObsHub, shard: usize, batches: usize, messages: u64, nanos: u64) {
+    hub.trace(|| TraceEvent::ShardDrain {
+        shard: shard.min(u16::MAX as usize) as u16,
+        batches: batches.min(u32::MAX as usize) as u32,
+        messages: messages.min(u32::MAX as u64) as u32,
+        nanos,
+    });
 }
 
 impl Default for Engine {
@@ -1595,14 +1483,6 @@ mod tests {
             Err(EngineError::Sealed)
         ));
         assert!(matches!(e.advance_all(t(99)), Err(EngineError::Sealed)));
-        #[allow(deprecated)]
-        {
-            let ev = Event::primitive(EventId(77), Interval::point(t(5)), Payload::empty());
-            assert!(matches!(
-                e.push_insert("INSTALL", ev),
-                Err(EngineError::Sealed)
-            ));
-        }
         // Consumption still works on a sealed engine.
         let mut sub = e.subscribe(q).unwrap();
         assert!(!sub.poll(&mut e).is_empty());
@@ -1697,11 +1577,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn push_after_enqueue_drains_staged_ingress_first() {
+    fn send_after_enqueue_drains_staged_ingress_first() {
         use crate::builder::PlanBuilder;
         use cedr_algebra::expr::Pred;
-        // A direct push (here: a CTI) must never overtake batches that
+        // A direct send (here: a CTI) must never overtake batches that
         // were staged before it — the guarantee would otherwise reach the
         // shells ahead of the data it covers.
         let build = || {
@@ -1725,12 +1604,12 @@ mod tests {
         let (mut a, qa, batch) = build();
         a.enqueue_batch("T", &batch).unwrap();
         a.run_to_quiescence();
-        a.push_cti("T", t(100)).unwrap();
-        // Same calls without the explicit drain: push must flush first.
+        a.source("T").unwrap().send(Message::Cti(t(100)));
+        // Same calls without the explicit drain: send must flush first.
         let (mut b, qb, batch) = build();
         b.enqueue_batch("T", &batch).unwrap();
-        b.push_cti("T", t(100)).unwrap();
-        assert_eq!(a.output(qa).stamped(), b.output(qb).stamped());
+        b.source("T").unwrap().send(Message::Cti(t(100)));
+        assert_eq!(a.collector(qa).delta_log(), b.collector(qb).delta_log());
     }
 
     #[test]
@@ -1790,13 +1669,11 @@ mod tests {
             let (par, qp) = run(threads);
             for (a, b) in qs.iter().zip(qp.iter()) {
                 assert_eq!(
-                    serial.collector(*a).stamped(),
-                    par.collector(*b).stamped(),
+                    serial.collector(*a).delta_log(),
+                    par.collector(*b).delta_log(),
                     "threads={threads}: output diverged"
                 );
-                // The subscription view is the same change stream: drained
-                // deltas must coincide entry for entry across thread
-                // counts too.
+                // A subscription drains that same log.
                 let (mut sa, mut sb) = (serial.subscribe(*a).unwrap(), par.subscribe(*b).unwrap());
                 assert_eq!(
                     sa.drain_ready(&serial),

@@ -37,14 +37,13 @@
 //! # Order-insensitivity, end to end
 //!
 //! Every flush is stamped with its origin `(producer key, emission seq)`
-//! — the stamp vocabulary of the sharded scheduler's deterministic merge
-//! — and the pump releases admitted batches through a
-//! [`Resequencer`] in canonical
-//! `(round, producer key)` order, one sharded quiescence pass per round.
+//! and the pump releases admitted batches through a [`Resequencer`] in
+//! canonical `(round, producer key)` order, one sharded quiescence pass
+//! per round.
 //! Engine-side execution is therefore a pure function of the *logical*
 //! per-producer streams: however the provider threads interleave, the
-//! admission schedule — and with it the stamped output tape and every
-//! subscription delta, at every consistency level — is bit-identical to
+//! admission schedule — and with it every query's output delta log, at
+//! every consistency level — is bit-identical to
 //! single-threaded ingestion of the same emissions
 //! (`tests/concurrent_ingest.rs` pins this across seeds × producer
 //! counts × worker counts). That is the paper's order-insensitivity

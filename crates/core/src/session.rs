@@ -14,9 +14,8 @@
 //! * [`Subscription`] — a consumer cursor over a query's append-only
 //!   [`OutputDelta`] log. Opened with [`Engine::subscribe`], each
 //!   [`Subscription::poll`] drains staged work and returns exactly the
-//!   insert/retract/CTI deltas appended since the previous poll, in an
-//!   order bit-identical to the collector's stamped tape at every
-//!   consistency level and thread count.
+//!   insert/retract/CTI deltas appended since the previous poll,
+//!   bit-identical at every consistency level and thread count.
 
 use crate::engine::{Engine, EngineError, QueryId, SubscriberList};
 use cedr_streams::{Message, MessageBatch, OutputDelta, Retraction};
@@ -356,7 +355,7 @@ impl Subscription {
     pub fn take<'e>(&mut self, engine: &'e Engine, max: usize) -> &'e [OutputDelta] {
         let log = engine.collector(self.query).delta_log();
         let start = self.cursor.min(log.len());
-        let end = (start + max).min(log.len());
+        let end = start.saturating_add(max).min(log.len());
         self.cursor = end;
         &log[start..end]
     }

@@ -5,8 +5,8 @@
 //!
 //! * **Determinism** — the encoding of a value is a pure function of the
 //!   value. Collections that reach this layer are already in a canonical
-//!   order (the engine sorts hash-map content before encoding; see the
-//!   `Parts` types of `cedr-streams`).
+//!   order (the engine sorts hash-map content before encoding; see
+//!   `ResequencerParts` in `cedr-streams`).
 //! * **Bit-identity** — decode(encode(x)) == x at the bit level: floats go
 //!   through raw IEEE bits, time points through their raw `u64` (tuple
 //!   construction, because `TimePoint::new` rejects the `u64::MAX` infinity
@@ -14,14 +14,10 @@
 
 use crate::codec::{CodecError, Persist, Reader};
 use cedr_streams::batch::MessageBatch;
-use cedr_streams::collect::{CollectorParts, StreamStats};
 use cedr_streams::delta::OutputDelta;
-use cedr_streams::message::{Message, Retraction, Stamped};
+use cedr_streams::message::{Message, Retraction};
 use cedr_streams::resequence::{LaneParts, ResequencerParts};
-use cedr_temporal::{
-    ChainKey, Duration, Event, EventId, HistoryRow, HistoryTable, Interval, Lineage, Payload,
-    TimePoint, Value,
-};
+use cedr_temporal::{Duration, Event, EventId, Interval, Lineage, Payload, TimePoint, Value};
 use std::sync::Arc;
 
 impl Persist for TimePoint {
@@ -62,15 +58,6 @@ impl Persist for EventId {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(EventId(u64::decode(r)?))
-    }
-}
-
-impl Persist for ChainKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ChainKey(u64::decode(r)?))
     }
 }
 
@@ -151,38 +138,6 @@ impl Persist for Event {
     }
 }
 
-impl Persist for HistoryRow {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.valid.encode(out);
-        self.occurrence.encode(out);
-        self.cedr.encode(out);
-        self.k.encode(out);
-        self.payload.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(HistoryRow {
-            id: EventId::decode(r)?,
-            valid: Interval::decode(r)?,
-            occurrence: Interval::decode(r)?,
-            cedr: Interval::decode(r)?,
-            k: ChainKey::decode(r)?,
-            payload: Payload::decode(r)?,
-        })
-    }
-}
-
-impl Persist for HistoryTable {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rows.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(HistoryTable {
-            rows: Vec::<HistoryRow>::decode(r)?,
-        })
-    }
-}
-
 impl Persist for Retraction {
     fn encode(&self, out: &mut Vec<u8>) {
         self.event.encode(out);
@@ -222,19 +177,6 @@ impl Persist for Message {
             2 => Ok(Message::Cti(TimePoint::decode(r)?)),
             b => Err(CodecError::new(format!("invalid Message tag {b:#04x}"))),
         }
-    }
-}
-
-impl Persist for Stamped {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cedr_time.encode(out);
-        self.message.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Stamped {
-            cedr_time: TimePoint::decode(r)?,
-            message: Message::decode(r)?,
-        })
     }
 }
 
@@ -300,48 +242,6 @@ impl Persist for MessageBatch {
     }
 }
 
-impl Persist for StreamStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.inserts.encode(out);
-        self.retractions.encode(out);
-        self.full_removals.encode(out);
-        self.ctis.encode(out);
-        self.data_messages.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(StreamStats {
-            inserts: usize::decode(r)?,
-            retractions: usize::decode(r)?,
-            full_removals: usize::decode(r)?,
-            ctis: usize::decode(r)?,
-            data_messages: usize::decode(r)?,
-        })
-    }
-}
-
-impl Persist for CollectorParts {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.history.encode(out);
-        self.stamped.encode(out);
-        self.deltas.encode(out);
-        self.stats.encode(out);
-        self.current_end.encode(out);
-        self.clock_ticks.encode(out);
-        self.max_cti.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CollectorParts {
-            history: HistoryTable::decode(r)?,
-            stamped: Vec::<Stamped>::decode(r)?,
-            deltas: Vec::<OutputDelta>::decode(r)?,
-            stats: StreamStats::decode(r)?,
-            current_end: Vec::<(u64, TimePoint)>::decode(r)?,
-            clock_ticks: u64::decode(r)?,
-            max_cti: Option::<TimePoint>::decode(r)?,
-        })
-    }
-}
-
 impl<T: Persist> Persist for LaneParts<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.key.encode(out);
@@ -378,7 +278,7 @@ impl<T: Persist> Persist for ResequencerParts<T> {
 mod tests {
     use super::*;
     use crate::codec::{from_bytes, to_bytes};
-    use cedr_streams::{Collector, Resequencer};
+    use cedr_streams::Resequencer;
     use cedr_temporal::interval::iv;
     use cedr_temporal::time::t;
     use std::fmt;
@@ -414,9 +314,7 @@ mod tests {
             end: TimePoint::INFINITY,
         });
         round_trip(EventId(u64::MAX));
-        round_trip(ChainKey(7));
         round_trip(sample_event(11));
-        round_trip(HistoryTable::figure2());
     }
 
     #[test]
@@ -435,7 +333,6 @@ mod tests {
             new_end: t(5),
         }));
         round_trip(Message::Cti(t(9)));
-        round_trip(Stamped::new(t(2), Message::Cti(t(9))));
         round_trip(OutputDelta::Insert {
             cedr_time: t(0),
             event: e.clone(),
@@ -458,25 +355,6 @@ mod tests {
         b.push_cti(t(4));
         let got = from_bytes::<MessageBatch>(&to_bytes(&b)).unwrap();
         assert_eq!(got.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn collector_parts_round_trip_and_rebuild() {
-        let mut c = Collector::new();
-        c.push(Message::insert_event(sample_event(1)));
-        c.push(Message::retract_event(sample_event(1), t(5)));
-        c.push(Message::Cti(t(7)));
-        let parts = c.to_parts();
-        let decoded = from_bytes::<CollectorParts>(&to_bytes(&parts)).unwrap();
-        assert_eq!(decoded, parts);
-        let rebuilt = Collector::from_parts(decoded);
-        assert_eq!(rebuilt.stamped(), c.stamped());
-        assert_eq!(rebuilt.delta_log(), c.delta_log());
-        assert_eq!(rebuilt.history(), c.history());
-        assert_eq!(rebuilt.stats(), c.stats());
-        assert_eq!(rebuilt.max_cti(), c.max_cti());
-        // The clock continues where it left off: next stamp is sequential.
-        assert_eq!(rebuilt.to_parts().clock_ticks, c.to_parts().clock_ticks);
     }
 
     #[test]
@@ -508,11 +386,5 @@ mod tests {
     #[test]
     fn identical_values_encode_identically() {
         assert_eq!(to_bytes(&sample_event(3)), to_bytes(&sample_event(3)));
-        let mut c1 = Collector::new();
-        let mut c2 = Collector::new();
-        for c in [&mut c1, &mut c2] {
-            c.push(Message::insert_event(sample_event(8)));
-        }
-        assert_eq!(to_bytes(&c1.to_parts()), to_bytes(&c2.to_parts()));
     }
 }

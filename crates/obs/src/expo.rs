@@ -385,11 +385,6 @@ impl MetricsSnapshot {
                 &t.shard_drain,
             ),
             (
-                "cedr_worker_drain_nanos",
-                "Node-scheduler worker lifetime within a dataflow drain",
-                &t.worker_drain,
-            ),
-            (
                 "cedr_ingest_to_delta_nanos",
                 "First staged admission to output deltas appended",
                 &t.ingest_to_delta,
@@ -549,7 +544,6 @@ impl MetricsSnapshot {
         for (label, h) in [
             ("round drain    ", &self.timings.round_drain),
             ("shard drain    ", &self.timings.shard_drain),
-            ("worker drain   ", &self.timings.worker_drain),
             ("ingest→delta   ", &self.timings.ingest_to_delta),
             ("flush block    ", &self.timings.flush_block),
             ("channel block  ", &self.timings.channel_block),

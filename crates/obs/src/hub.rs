@@ -1,9 +1,9 @@
 //! [`ObsHub`] — the shared observability handle.
 //!
 //! One hub is created per engine and threaded (as an `Arc`) into every
-//! place that measures: the engine round loop, the node-scheduler
-//! workers, the ingest pump and the channel producer handles. It owns
-//! the clock seam, the latency histograms and the optional trace ring.
+//! place that measures: the engine round loop and its shard workers,
+//! the ingest pump and the channel producer handles. It owns the clock
+//! seam, the eight latency histograms and the optional trace ring.
 //!
 //! Hooks are designed so the disabled configuration stays out of the hot
 //! path: tracing with the ring off is a single `Option` check, and
@@ -23,8 +23,6 @@ pub struct Timings {
     pub round_drain: Histogram,
     /// One engine shard's staged-input drain within a parallel round.
     pub shard_drain: Histogram,
-    /// One node-scheduler worker's lifetime within a dataflow drain.
-    pub worker_drain: Histogram,
     /// First staged admission of a round → that round's output deltas
     /// appended (the ingestion→subscription-visible latency).
     pub ingest_to_delta: Histogram,

@@ -13,7 +13,7 @@
 //! - [`trace`] — a bounded, allocation-light [`TraceRing`] of structured
 //!   [`TraceEvent`]s; disabled rings cost one branch per hook.
 //! - [`hub`] — [`ObsHub`], the shared handle threaded through the engine,
-//!   scheduler workers and channel producers.
+//!   shard workers and channel producers.
 //! - [`snapshot`] — the typed [`MetricsSnapshot`] returned by
 //!   `Engine::metrics()`, split into **counter-class** fields (exact,
 //!   replayable) and **timing-class** fields (wall-clock, behind the

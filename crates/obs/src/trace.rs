@@ -22,8 +22,6 @@ pub enum TraceEvent {
         messages: u32,
         nanos: u64,
     },
-    /// One node-scheduler worker finished its drain of a dataflow shard.
-    WorkerDrain { shard: u16, nanos: u64 },
     /// An operator consumed one input run of `batch_len` messages.
     OperatorRun {
         query: u16,

@@ -22,8 +22,8 @@
 //! touched group per run** (in first-touch order), instead of one refresh
 //! per state-changing message: the intermediate step functions a finer
 //! batching would have published-and-repaired are never emitted. Net
-//! content, output guarantee and the per-run determinism the sharded
-//! scheduler relies on are unchanged; see the one-refresh-per-run contract
+//! content, output guarantee and per-run determinism are unchanged; see
+//! the one-refresh-per-run contract
 //! in the [`operator`](crate::operator) module docs. Members are still
 //! sorted before folding, so order-sensitive float aggregates (Sum/Avg)
 //! stay pinned.
@@ -93,8 +93,7 @@ impl GroupAggregateOp {
             .collect();
         // Deterministic member order before aggregation: float Sum/Avg are
         // order-sensitive, so hash-iteration order must not reach the
-        // evaluator (the sharded scheduler's serial-equivalence guarantee
-        // needs output to be a pure function of delivered input).
+        // evaluator (output must be a pure function of delivered input).
         clipped.sort_unstable_by_key(|e| (e.interval.start, e.id));
         let fresh = cedr_algebra::relational::group_aggregate(&clipped, key, agg);
         let fresh_by_start: BTreeMap<TimePoint, Event> =

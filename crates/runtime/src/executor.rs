@@ -16,96 +16,37 @@
 //! the historical message-at-a-time cascade, so operator semantics are
 //! unchanged.
 //!
-//! # Scheduling and threading
+//! # Scheduling
 //!
 //! Because nodes may only reference earlier nodes, a quiescence pass is a
-//! single sweep in ascending node-id order. The serial scheduler drives
-//! that sweep from a **ready queue** — an ordered worklist of dirty nodes,
-//! seeded with the staged sources and extended as producers emit — so a
-//! pass costs O(dirty·log) instead of rescanning every node per step.
-//!
-//! With [`Dataflow::set_threads`] the same pass runs on the **sharded
-//! multi-worker scheduler** of [`crate::scheduler`]: the graph is
-//! partitioned into connected-component/chain shards, each shard runs on
-//! its own worker thread, bounded channels carry output runs across shard
-//! edges, and each consumer stably merges its input by origin stamp
-//! `(producer, seq)` — reproducing the serial delivery order bit for bit.
-//! Serial and parallel execution are therefore interchangeable at every
-//! consistency level; see the scheduler module docs for the argument,
-//! including why Weak-consistency forgetting cannot diverge across thread
-//! counts (per-shell arrival order is preserved; only *caller-side batch
-//! splitting* moves Weak's forgetting horizon race, as documented at
+//! single sweep in ascending node-id order. [`Dataflow::run_to_quiescence`]
+//! drives that sweep from a **ready queue** — an ordered worklist of dirty
+//! nodes, seeded with the staged sources and extended as producers emit —
+//! so a pass costs O(dirty·log) instead of rescanning every node per step.
+//! A dataflow is single-threaded and owns all of its state; parallelism
+//! lives one layer up, where `cedr-core` drains whole dataflows (one per
+//! standing query) on per-shard worker threads. Per-shell arrival order is
+//! a function of the staged rounds alone, so execution is deterministic at
+//! every consistency level (only *caller-side batch splitting* moves
+//! Weak's forgetting horizon race, as documented at
 //! [`Dataflow::enqueue_source_batch`]).
 //!
-//! Sink outputs are folded into [`cedr_streams::Collector`]s so the
-//! temporal equivalence machinery applies to query results directly. A
-//! collector absorbs each output run into its history tables **and** its
-//! append-only [`OutputDelta`](cedr_streams::OutputDelta) log — the
-//! change stream that engine-level subscriptions drain incrementally.
-//! Because both the serial sweep and the sharded workers feed collectors
-//! through the same `deliver_runs` loop, the delta log inherits the
-//! parallel≡serial bit-identity guarantee for free: a subscription
-//! observes the same deltas in the same order at every thread count.
+//! Sink outputs are logged by [`cedr_streams::Collector`]s: each output
+//! run is appended to the collector's [`OutputDelta`] log — the change
+//! stream that engine-level subscriptions drain incrementally, and the
+//! single store the temporal equivalence machinery (history tables, net
+//! tables) is folded from.
 
 use crate::consistency::ConsistencySpec;
 use crate::operator::{OperatorModule, OperatorShell};
-use crate::scheduler::{self, SchedStats, ShardPlan};
 use crate::stats::OpStats;
 use cedr_obs::{ObsHub, TraceEvent};
-use cedr_streams::{Collector, Message, MessageBatch};
+use cedr_streams::{Collector, Message, MessageBatch, OutputDelta};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Identifies an operator node in a dataflow.
 pub type NodeId = usize;
-
-/// Observability context for one node's delivery: the hub plus the
-/// `(query, node)` labels stamped onto [`TraceEvent::OperatorRun`].
-/// Purely observational — never feeds back into scheduling or delivery.
-pub(crate) type RunObs<'a> = (&'a ObsHub, u16, u16);
-
-/// Deliver one node's drained input to its shell as **maximal same-port
-/// runs** in arrival order (messages move into each run — no re-clone),
-/// absorb any outputs into the node's collector (history tables, stamped
-/// tape and subscription delta log advance together), and hand each
-/// run's output batch to `route` for fan-out.
-///
-/// This is the single definition of per-node delivery: the serial sweep
-/// and every sharded-scheduler worker call exactly this loop, differing
-/// only in the `route` sink. The parallel≡serial bit-identity guarantee
-/// rests on the two paths sharing it — do not fork this logic.
-pub(crate) fn deliver_runs(
-    shell: &mut OperatorShell,
-    mut collector: Option<&mut Collector>,
-    input: impl IntoIterator<Item = (usize, Message)>,
-    now: u64,
-    obs: Option<RunObs<'_>>,
-    mut route: impl FnMut(&MessageBatch),
-) {
-    let mut iter = input.into_iter().peekable();
-    while let Some((port, first)) = iter.next() {
-        let mut run = vec![first];
-        while iter.peek().is_some_and(|(p, _)| *p == port) {
-            run.push(iter.next().expect("peeked").1);
-        }
-        if let Some((hub, query, node)) = obs {
-            hub.trace(|| TraceEvent::OperatorRun {
-                query,
-                node,
-                batch_len: run.len().min(u32::MAX as usize) as u32,
-            });
-        }
-        let outs = shell.push_batch(port, &run, now);
-        if outs.is_empty() {
-            continue;
-        }
-        let outs = MessageBatch::from(outs);
-        if let Some(c) = collector.as_deref_mut() {
-            c.absorb_batch(&outs);
-        }
-        route(&outs);
-    }
-}
 
 /// A connection endpoint feeding an operator input port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,9 +127,6 @@ impl DataflowBuilder {
             collectors,
             queues,
             tick: 0,
-            threads: 1,
-            shard_plan: None,
-            sched: SchedStats::default(),
             obs: None,
         }
     }
@@ -204,11 +142,6 @@ pub struct Dataflow {
     /// Per-node FIFO of `(port, message)` awaiting delivery.
     queues: Vec<VecDeque<(usize, Message)>>,
     tick: u64,
-    /// Worker threads for `run_to_quiescence` (1 = serial sweep).
-    threads: usize,
-    /// Lazily computed shard partition (topology is fixed after build).
-    shard_plan: Option<ShardPlan>,
-    sched: SchedStats,
     /// Observability hub + the query index this dataflow traces under.
     /// Never serialized (`state_snapshot` excludes it) and never read by
     /// scheduling decisions, so it cannot perturb bit-identity.
@@ -216,30 +149,11 @@ pub struct Dataflow {
 }
 
 impl Dataflow {
-    /// Set the number of worker threads used by
-    /// [`Dataflow::run_to_quiescence`]. `1` (the default) keeps the serial
-    /// sweep; more threads run the sharded scheduler of
-    /// [`crate::scheduler`], whose results are bit-identical to serial.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        self.shard_plan = None;
-    }
-
-    /// Worker threads currently configured.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Attach an observability hub; `query` labels this dataflow's trace
     /// events and timings. Observation only — delivery order, operator
     /// state and statistics are unchanged with or without a hub.
     pub fn set_obs(&mut self, hub: Arc<ObsHub>, query: u16) {
         self.obs = Some((hub, query));
-    }
-
-    /// Sharded-scheduler counters (all zero while running serially).
-    pub fn sched_stats(&self) -> &SchedStats {
-        &self.sched
     }
 
     /// Enqueue one source message to its subscribers without running the
@@ -280,8 +194,7 @@ impl Dataflow {
     /// One **pumped ingestion round**: stage every `(source, batch)` pair
     /// of the round in order — each batch advancing the tick once, as in
     /// [`Dataflow::enqueue_source_batch`] — then run a single quiescence
-    /// pass over the union (serial or sharded, per
-    /// [`Dataflow::set_threads`]).
+    /// pass over the union.
     ///
     /// This is the scheduler entry point for round-at-a-time drivers (the
     /// engine's ingress drain and channel pump): because the pass
@@ -297,24 +210,17 @@ impl Dataflow {
         self.run_to_quiescence();
     }
 
-    /// Drain all node queues until the graph is quiet — serially or on the
-    /// sharded multi-worker scheduler, per [`Dataflow::set_threads`]. Both
-    /// paths deliver bit-identical streams to every node (see the module
-    /// docs).
+    /// Drain all node queues until the graph is quiet: one sweep driven by
+    /// a ready queue, an ordered worklist of nodes with pending input.
+    /// Edges only point forward, so popping the smallest dirty node
+    /// processes every producer before its consumers — by the time a node
+    /// runs it holds everything upstream emitted this round.
+    ///
+    /// Each node's drained input is delivered to its shell as **maximal
+    /// same-port runs** in arrival order (messages move into each run — no
+    /// re-clone); a watched node's outputs are appended to its collector's
+    /// delta log, then fanned out to the subscribers' queues.
     pub fn run_to_quiescence(&mut self) {
-        if self.threads > 1 && self.nodes.len() > 1 {
-            self.run_to_quiescence_parallel();
-        } else {
-            self.run_to_quiescence_serial();
-        }
-    }
-
-    /// The serial sweep, driven by a ready queue: an ordered worklist of
-    /// nodes with pending input. Edges only point forward, so popping the
-    /// smallest dirty node processes every producer before its consumers —
-    /// by the time a node runs it holds everything upstream emitted this
-    /// round — without the historical O(nodes) rescan per step.
-    fn run_to_quiescence_serial(&mut self) {
         let now = self.tick;
         let Dataflow {
             nodes,
@@ -329,59 +235,35 @@ impl Dataflow {
             .collect();
         while let Some(node) = ready.pop_first() {
             let drained: Vec<(usize, Message)> = queues[node].drain(..).collect();
-            deliver_runs(
-                &mut nodes[node],
-                collectors.get_mut(&node),
-                drained,
-                now,
-                obs.as_ref().map(|(h, q)| (h.as_ref(), *q, node as u16)),
-                |outs| {
-                    for &(next, next_port) in &node_subs[node] {
-                        for o in outs {
-                            queues[next].push_back((next_port, o.clone()));
-                        }
-                        ready.insert(next);
+            let mut input = drained.into_iter().peekable();
+            while let Some((port, first)) = input.next() {
+                let mut run = vec![first];
+                while input.peek().is_some_and(|(p, _)| *p == port) {
+                    run.push(input.next().expect("peeked").1);
+                }
+                if let Some((hub, query)) = obs {
+                    hub.trace(|| TraceEvent::OperatorRun {
+                        query: *query,
+                        node: node as u16,
+                        batch_len: run.len().min(u32::MAX as usize) as u32,
+                    });
+                }
+                let outs = nodes[node].push_batch(port, &run, now);
+                if outs.is_empty() {
+                    continue;
+                }
+                let outs = MessageBatch::from(outs);
+                if let Some(c) = collectors.get_mut(&node) {
+                    c.absorb_batch(&outs);
+                }
+                for &(next, next_port) in &node_subs[node] {
+                    for o in &outs {
+                        queues[next].push_back((next_port, o.clone()));
                     }
-                },
-            );
+                    ready.insert(next);
+                }
+            }
         }
-    }
-
-    /// One pass of the sharded scheduler: stage the source queues, hand
-    /// the graph to per-shard workers, and merge deterministically.
-    fn run_to_quiescence_parallel(&mut self) {
-        if self.queues.iter().all(|q| q.is_empty()) {
-            return;
-        }
-        if self.shard_plan.is_none() {
-            self.shard_plan = Some(ShardPlan::partition(
-                self.nodes.len(),
-                &self.node_subs,
-                self.threads,
-            ));
-        }
-        let plan = self.shard_plan.take().expect("just installed");
-        if plan.shards.len() <= 1 {
-            self.shard_plan = Some(plan);
-            self.run_to_quiescence_serial();
-            return;
-        }
-        let staged: Vec<Vec<(usize, Message)>> = self
-            .queues
-            .iter_mut()
-            .map(|q| q.drain(..).collect())
-            .collect();
-        scheduler::run_sharded(
-            &mut self.nodes,
-            &self.node_subs,
-            &mut self.collectors,
-            staged,
-            &plan,
-            self.tick,
-            &mut self.sched,
-            self.obs.as_ref().map(|(h, q)| (h.as_ref(), *q)),
-        );
-        self.shard_plan = Some(plan);
     }
 
     /// Feed one message into external source `source`, cascading it through
@@ -463,9 +345,10 @@ impl Dataflow {
     }
 
     /// Serialize the dataflow's full runtime state at a quiescent round
-    /// boundary: the tick, every shell's state (module blob included),
-    /// every collector, and the scheduler counters. Topology (`source_subs`
-    /// / `node_subs` / `shard_plan`) is plan-derived and re-created by
+    /// boundary: the tick, every shell's state (module blob included) and
+    /// every collector's delta log — each output event once; collector
+    /// statistics are re-derived from the log on restore. Topology
+    /// (`source_subs` / `node_subs`) is plan-derived and re-created by
     /// re-registering the query, so it is not part of the image. Fails if
     /// any node queue still holds undelivered messages — the caller must
     /// run to quiescence first.
@@ -490,12 +373,14 @@ impl Dataflow {
         (watched.len() as u64).encode(out);
         for node in watched {
             (node as u64).encode(out);
-            self.collectors[&node].to_parts().encode(out);
+            // Same wire layout as `Vec<OutputDelta>`, without cloning the
+            // log into one.
+            let log = self.collectors[&node].delta_log();
+            (log.len() as u64).encode(out);
+            for delta in log {
+                delta.encode(out);
+            }
         }
-        self.sched.shards.encode(out);
-        self.sched.parallel_runs.encode(out);
-        self.sched.cross_batches.encode(out);
-        self.sched.cross_messages.encode(out);
         Ok(())
     }
 
@@ -532,9 +417,9 @@ impl Dataflow {
         }
         for _ in 0..watched {
             let node = u64::decode(r)? as NodeId;
-            let parts = cedr_streams::CollectorParts::decode(r)?;
+            let log = Vec::<OutputDelta>::decode(r)?;
             match self.collectors.get_mut(&node) {
-                Some(c) => *c = Collector::from_parts(parts),
+                Some(c) => *c = Collector::from_deltas(log),
                 None => {
                     return Err(cedr_durable::CodecError::new(format!(
                         "image watches node {node}, which the plan does not"
@@ -542,10 +427,6 @@ impl Dataflow {
                 }
             }
         }
-        self.sched.shards = usize::decode(r)?;
-        self.sched.parallel_runs = usize::decode(r)?;
-        self.sched.cross_batches = usize::decode(r)?;
-        self.sched.cross_messages = usize::decode(r)?;
         Ok(())
     }
 }
@@ -671,143 +552,62 @@ mod tests {
         );
     }
 
-    /// A two-component graph (two sources, each σ → W → count) for the
-    /// parallel≡serial checks.
-    fn two_component_df() -> (Dataflow, Vec<NodeId>) {
-        let mut b = DataflowBuilder::new(2);
-        let mut sinks = Vec::new();
-        for s in 0..2 {
-            let sel = b.add_node(
-                Box::new(SelectOp::new(Pred::cmp(
-                    Scalar::Field(0),
-                    CmpOp::Ge,
-                    Scalar::lit(0i64),
-                ))),
-                ConsistencySpec::middle(),
-                vec![Port::Source(s)],
-            );
-            let win = b.add_node(
-                Box::new(AlterLifetimeOp::window(dur(5 + s as u64))),
-                ConsistencySpec::middle(),
-                vec![Port::Node(sel)],
-            );
-            sinks.push(b.add_node(
-                Box::new(GroupAggregateOp::global(AggFunc::Count)),
-                ConsistencySpec::middle(),
-                vec![Port::Node(win)],
-            ));
-        }
-        let df = b.build(&sinks);
-        (df, sinks)
-    }
-
-    fn feed(df: &mut Dataflow) {
-        for s in 0..2usize {
-            let mut sb = StreamBuilder::with_id_base(1000 * s as u64);
-            for i in 0..30u64 {
-                sb.insert(
-                    Interval::from(t((i * 7 + s as u64) % 50)),
-                    Payload::from_values(vec![Value::Int(i as i64 - 3)]),
-                );
-            }
-            let batch: cedr_streams::MessageBatch =
-                sb.build_ordered(Some(dur(5)), true).into_iter().collect();
-            df.enqueue_source_batch(s, &batch);
-        }
-        df.run_to_quiescence();
-    }
-
     #[test]
-    fn parallel_components_match_serial_bit_for_bit() {
-        let (mut serial, sinks) = two_component_df();
-        feed(&mut serial);
-        for threads in [2, 4] {
-            let (mut par, psinks) = two_component_df();
-            par.set_threads(threads);
-            feed(&mut par);
-            assert!(par.sched_stats().parallel_runs > 0, "parallel path unused");
-            for (a, b) in sinks.iter().zip(psinks.iter()) {
-                assert_eq!(
-                    serial.collector(*a).stamped(),
-                    par.collector(*b).stamped(),
-                    "threads={threads}: output stream diverged"
-                );
-                assert_eq!(serial.collector(*a).stats(), par.collector(*b).stats());
-            }
-            for n in 0..serial.node_count() {
-                assert_eq!(serial.stats(n), par.stats(n), "node {n} stats diverged");
-            }
-            if threads == 2 {
-                // One component per worker: no cross-shard traffic needed.
-                assert_eq!(par.sched_stats().cross_messages, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn chain_split_pipeline_matches_serial_bit_for_bit() {
-        // A single 4-node component forced onto 4 workers: the scheduler
-        // must split it into chain shards and move every edge's traffic
-        // through cross-shard channels — the deterministic (origin, seq)
-        // merge is what keeps the output identical.
-        fn pipeline() -> (Dataflow, NodeId) {
+    fn snapshot_carries_each_output_event_once() {
+        // A watched stateless node: between two CTI-closed rounds its
+        // shell state is constant-size, so the image grows by exactly the
+        // encoded size of the deltas appended to the log — one copy of
+        // each output event, no history/tape mirrors.
+        let build = || {
             let mut b = DataflowBuilder::new(1);
             let sel = b.add_node(
-                Box::new(SelectOp::new(Pred::cmp(
-                    Scalar::Field(0),
-                    CmpOp::Ge,
-                    Scalar::lit(2i64),
-                ))),
+                Box::new(SelectOp::new(Pred::True)),
                 ConsistencySpec::strong(),
                 vec![Port::Source(0)],
             );
-            let win = b.add_node(
-                Box::new(AlterLifetimeOp::window(dur(7))),
-                ConsistencySpec::strong(),
-                vec![Port::Node(sel)],
-            );
-            let sel2 = b.add_node(
-                Box::new(SelectOp::new(Pred::True)),
-                ConsistencySpec::strong(),
-                vec![Port::Node(win)],
-            );
-            let cnt = b.add_node(
-                Box::new(GroupAggregateOp::global(AggFunc::Count)),
-                ConsistencySpec::strong(),
-                vec![Port::Node(sel2)],
-            );
-            (b.build(&[cnt]), cnt)
-        }
-        let run = |threads: usize| {
-            let (mut df, sink) = pipeline();
-            df.set_threads(threads);
-            let mut sb = StreamBuilder::new();
-            for i in 0..40u64 {
-                sb.insert(
-                    Interval::from(t((i * 13) % 60)),
-                    Payload::from_values(vec![Value::Int((i % 7) as i64)]),
-                );
-            }
-            let batch: cedr_streams::MessageBatch =
-                sb.build_ordered(Some(dur(10)), true).into_iter().collect();
-            df.enqueue_source_batch(0, &batch);
-            df.run_to_quiescence();
-            (df, sink)
+            (b.build(&[sel]), sel)
         };
-        let (serial, s_sink) = run(1);
-        let (par, p_sink) = run(4);
-        assert_eq!(par.sched_stats().shards, 4, "expected a 4-way chain split");
-        assert!(
-            par.sched_stats().cross_messages > 0,
-            "chain shards must talk over channels"
-        );
-        assert_eq!(
-            serial.collector(s_sink).stamped(),
-            par.collector(p_sink).stamped()
-        );
-        for n in 0..serial.node_count() {
-            assert_eq!(serial.stats(n), par.stats(n), "node {n} stats diverged");
-        }
+        let (mut df, sel) = build();
+        let round = |df: &mut Dataflow, base: u64| {
+            let mut batch = MessageBatch::new();
+            for i in base..base + 25 {
+                batch.push(Message::insert(
+                    i + 1,
+                    Interval::new(t(i), t(i + 4)),
+                    Payload::from_values(vec![Value::Int(i as i64), Value::str("payload")]),
+                ));
+            }
+            batch.push_cti(t(base + 25));
+            df.push_source_batch(0, &batch);
+        };
+        let image = |df: &Dataflow| {
+            let mut out = Vec::new();
+            df.state_snapshot(&mut out).unwrap();
+            out
+        };
+
+        round(&mut df, 0);
+        let (before, logged) = (image(&df), df.collector(sel).delta_log().len());
+        round(&mut df, 25);
+        let after = image(&df);
+        let appended = &df.collector(sel).delta_log()[logged..];
+        assert_eq!(appended.len(), 26, "25 inserts + the CTI");
+        let appended_bytes: usize = appended
+            .iter()
+            .map(|d| cedr_durable::to_bytes(d).len())
+            .sum();
+        assert_eq!(after.len() - before.len(), appended_bytes);
+
+        // And the image restores to the same log, stats and guarantee.
+        let (mut restored, _) = build();
+        restored
+            .state_restore(&mut cedr_durable::Reader::new(&after))
+            .unwrap();
+        let (a, r) = (df.collector(sel), restored.collector(sel));
+        assert_eq!(r.delta_log(), a.delta_log());
+        assert_eq!(r.stats(), a.stats());
+        assert_eq!(r.max_cti(), a.max_cti());
+        assert_eq!(image(&restored), after);
     }
 
     #[test]

@@ -89,9 +89,9 @@ impl JoinOp {
 
     /// Candidate partner IDs on `side` for an event with the given key, in
     /// ascending ID order. The probe's *emission order* follows this list,
-    /// and downstream consumers (the sharded scheduler's deterministic
-    /// merge in particular) rely on operator output being a pure function
-    /// of delivered input — hash-iteration order must never leak out.
+    /// and every bit-identity pin (threaded ≡ serial, restored ≡ unfailed)
+    /// relies on operator output being a pure function of delivered input
+    /// — hash-iteration order must never leak out.
     fn candidates(&self, side: usize, key: &Value) -> Vec<EventId> {
         let mut ids: Vec<EventId> = if self.keys.is_some() {
             self.sides[side]

@@ -31,17 +31,15 @@
 //!
 //! The consistency spectrum is defined **per operator**, never per thread,
 //! so execution may be parallelised freely as long as each operator shell
-//! sees its input in the same order. The [`executor::Dataflow`] scheduler
-//! exploits exactly that freedom: with [`executor::Dataflow::set_threads`]
-//! the graph is partitioned into connected-component/chain shards
-//! ([`scheduler::ShardPlan`]), each shard runs on its own worker thread,
-//! bounded channels carry `Arc`-shared output runs across shard edges, and
-//! every consumer merges its input deterministically by origin stamp —
-//! reproducing the serial delivery order bit for bit. Parallel and serial
-//! runs are therefore indistinguishable at Strong, Middle *and* Weak
-//! consistency (Weak's forgetting horizon races per-shell arrival order,
-//! which sharding preserves; only caller-side batch splitting can move
-//! it — see [`scheduler`] and `executor`'s module docs).
+//! sees its input in the same order. A [`executor::Dataflow`] itself is
+//! single-threaded — one quiescence pass is one serial ready-queue sweep —
+//! and owns all of its state, so whole dataflows are the unit of
+//! parallelism: `cedr-core` assigns each standing query to an engine shard
+//! and drains the shards on scoped worker threads. Every dataflow still
+//! sees its rounds in enqueue order, so threaded and serial engine drains
+//! are indistinguishable at Strong, Middle *and* Weak consistency (only
+//! caller-side batch splitting can move Weak's forgetting horizon — see
+//! `executor`'s module docs).
 
 pub mod aggregate;
 pub mod consistency;
@@ -50,7 +48,6 @@ pub mod fused;
 pub mod join;
 pub mod negation;
 pub mod operator;
-pub mod scheduler;
 pub mod sequence;
 pub mod stateless;
 pub mod stats;
@@ -59,7 +56,6 @@ pub use consistency::{ConsistencyLevel, ConsistencySpec};
 pub use executor::{Dataflow, DataflowBuilder, NodeId, Port};
 pub use fused::{FusedStage, FusedStatelessOp};
 pub use operator::{OpContext, OperatorModule, OperatorShell, OutputBuffer};
-pub use scheduler::{SchedStats, ShardPlan};
 pub use stats::OpStats;
 
 /// Convenience prelude.
@@ -71,7 +67,6 @@ pub mod prelude {
     pub use crate::join::JoinOp;
     pub use crate::negation::{NegationOp, NegationScope};
     pub use crate::operator::{OpContext, OperatorModule, OperatorShell, OutputBuffer};
-    pub use crate::scheduler::{SchedStats, ShardPlan};
     pub use crate::sequence::{AtLeastOp, SequenceOp};
     pub use crate::stateless::{AlterLifetimeOp, ProjectOp, SelectOp, SliceOp, UnionOp};
     pub use crate::stats::OpStats;

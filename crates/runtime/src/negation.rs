@@ -17,7 +17,7 @@
 //! [`NegationScope::After`] — UNLESS's `(e1.Vs, e1.Vs + w)`; and
 //! [`NegationScope::History`] — the lineage scope `(e1.Rt, e1.Vs)` shared by
 //! CANCEL-WHEN and NOT(E, SEQUENCE(…)) (for sequences over primitive
-//! contributors `cbt[1].Vs = Rt` exactly; see DESIGN.md).
+//! contributors `cbt[1].Vs = Rt` exactly).
 
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Pred;

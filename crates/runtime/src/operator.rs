@@ -36,7 +36,7 @@
 //!   for a stream depends on how the stream was cut into delivery runs —
 //!   but the **net content and the output guarantee never do**, and for a
 //!   *fixed* run structure the tape is deterministic (which is what the
-//!   sharded scheduler's serial-equivalence proof needs). Per-message
+//!   engine's threaded ≡ serial pin needs). Per-message
 //!   ingestion degenerates to runs of one message, where the contract
 //!   coincides with classic per-message view maintenance.
 //! * **Plan-rewritten** operators (the fusion pass's `FusedStatelessOp`,

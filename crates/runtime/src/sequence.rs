@@ -91,8 +91,7 @@ fn slots_as_sets(slots: &[SlotMap]) -> Vec<EventSet> {
 ///
 /// Emission order is deterministic — retractions in ascending output-ID
 /// order, then inserts in enumeration order — never hash-iteration order:
-/// operator output must be a pure function of delivered input for the
-/// sharded scheduler's serial-equivalence guarantee to hold.
+/// operator output must be a pure function of delivered input.
 fn diff_emitted(emitted: &mut HashMap<EventId, Event>, desired: Vec<Event>, ctx: &mut OpContext) {
     let desired_ids: HashSet<EventId> = desired.iter().map(|e| e.id).collect();
     let mut stale: Vec<Event> = emitted

@@ -3,7 +3,7 @@
 //! These are the observables of Figure 8: **blocking** (alignment-buffer
 //! residency), **state size** (operational-module + buffer footprint) and
 //! **output size** (inserts + retractions emitted). CEDR time is measured
-//! in arrival ticks (one per delivered message; see DESIGN.md).
+//! in arrival ticks (one per delivered message).
 
 use serde::{Deserialize, Serialize};
 

@@ -3,9 +3,9 @@
 //! Section 2: "valid time and occurrence time are assigned by the same
 //! logical clock of the event provider"; CEDR time is "the clock of the
 //! stream processing server". The reproduction substitutes a deterministic
-//! arrival counter for the server's wall clock (see DESIGN.md): CEDR time
-//! only needs to order arrivals and anchor sync points, which a counter does
-//! while keeping every run replayable.
+//! arrival counter for the server's wall clock: CEDR time only needs to
+//! order arrivals and anchor sync points, which a counter does while
+//! keeping every run replayable.
 
 use cedr_temporal::{Duration, TimePoint};
 
@@ -72,12 +72,8 @@ impl CedrClock {
         TimePoint::new(self.ticks)
     }
 
-    /// Arrivals stamped so far — the raw counter, for checkpointing.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Rebuild a clock from a checkpointed tick counter.
+    /// A clock that has already stamped `ticks` arrivals (a collector
+    /// rebuilt from its log resumes stamping where the log ends).
     pub fn from_ticks(ticks: u64) -> Self {
         CedrClock { ticks }
     }

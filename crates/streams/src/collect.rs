@@ -1,16 +1,18 @@
-//! Collecting a physical stream back into history tables.
+//! Collecting a physical stream into its output changelog.
 //!
-//! The collector stamps every message with CEDR time and maintains the
-//! tritemporal history table of Section 4 (valid time doubling as occurrence
-//! time in the merged unitemporal regime), so the paper's canonicalisation,
-//! equivalence and sync-point machinery applies verbatim to runtime outputs.
+//! The collector stamps every message with CEDR time and appends it to one
+//! append-only **delta log** — the paper's output model, a stream of state
+//! updates (Section 5). The tritemporal history table of Section 4 is that
+//! stream's denotation, not a second store: [`Collector::history`] folds it
+//! from the log on demand (valid time doubling as occurrence time in the
+//! merged unitemporal regime), so the paper's canonicalisation, equivalence
+//! and sync-point machinery applies verbatim to runtime outputs.
 
 use crate::delta::OutputDelta;
-use crate::message::{Message, Stamped};
+use crate::message::{Message, Retraction, Stamped};
 use cedr_temporal::{
     ChainKey, HistoryRow, HistoryTable, Interval, TimePoint, UniTemporalRow, UniTemporalTable,
 };
-use std::collections::HashMap;
 
 /// Aggregate statistics of a collected stream.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -23,22 +25,18 @@ pub struct StreamStats {
     pub data_messages: usize,
 }
 
-/// Folds messages into a history table, statistics, and an incremental
-/// **delta log** — the consumable changelog cursored by subscriptions.
+/// Folds messages into the **delta log** — the consumable changelog
+/// cursored by subscriptions and the collector's only per-message store —
+/// plus running statistics. Every other view ([`Collector::history`],
+/// [`Collector::stamped`], [`Collector::net_table`]) is derived from the
+/// log on demand.
 #[derive(Clone, Debug, Default)]
 pub struct Collector {
-    history: HistoryTable,
-    stamped: Vec<Stamped>,
-    /// Append-only changelog mirroring `stamped`: one [`OutputDelta`] per
-    /// ingested message, in arrival order. Events are `Arc`-shared with
-    /// the stamped tape, so the log costs no payload copies. Sink nodes
-    /// feed it through [`Collector::push`] in both the serial sweep and
-    /// the sharded scheduler, which is what makes subscription drains
-    /// bit-identical to `stamped()` at every thread count.
+    /// One [`OutputDelta`] per ingested message, in arrival order. Events
+    /// are `Arc`-shared with the messages they arrived in, so the log
+    /// costs no payload copies.
     deltas: Vec<OutputDelta>,
     stats: StreamStats,
-    /// Current lifetime per chain, for retraction chaining.
-    current_end: HashMap<u64, TimePoint>,
     clock: crate::clock::CedrClock,
     max_cti: Option<TimePoint>,
 }
@@ -48,59 +46,63 @@ impl Collector {
         Self::default()
     }
 
+    /// Rebuild a collector from a previously logged changelog (a restored
+    /// checkpoint image): statistics, the highest CTI and the CEDR clock
+    /// are re-derived from the log, so the result is indistinguishable
+    /// from the collector that logged it.
+    pub fn from_deltas(deltas: Vec<OutputDelta>) -> Collector {
+        let mut c = Collector {
+            clock: crate::clock::CedrClock::from_ticks(deltas.len() as u64),
+            ..Collector::default()
+        };
+        for d in &deltas {
+            c.count(d);
+        }
+        c.deltas = deltas;
+        c
+    }
+
     /// Ingest one message.
     pub fn push(&mut self, msg: Message) {
-        let cs = self.clock.stamp();
-        match &msg {
-            Message::Insert(e) => {
+        let cedr_time = self.clock.stamp();
+        let delta = match msg {
+            Message::Insert(event) => OutputDelta::Insert { cedr_time, event },
+            Message::Retract(Retraction { event, new_end }) => OutputDelta::Retract {
+                cedr_time,
+                event,
+                new_end,
+            },
+            Message::Cti(guarantee) => OutputDelta::Cti {
+                cedr_time,
+                guarantee,
+            },
+        };
+        self.count(&delta);
+        self.deltas.push(delta);
+    }
+
+    /// Fold one delta into the running statistics and `max_cti`.
+    fn count(&mut self, delta: &OutputDelta) {
+        match delta {
+            OutputDelta::Insert { .. } => {
                 self.stats.inserts += 1;
                 self.stats.data_messages += 1;
-                self.current_end.insert(e.id.0, e.interval.end);
-                self.history.push(HistoryRow {
-                    id: e.id,
-                    valid: e.interval,
-                    occurrence: e.interval,
-                    cedr: Interval::from(cs),
-                    k: ChainKey(e.id.0),
-                    payload: e.payload.clone(),
-                });
-                self.deltas.push(OutputDelta::Insert {
-                    cedr_time: cs,
-                    event: e.clone(),
-                });
             }
-            Message::Retract(r) => {
+            OutputDelta::Retract { event, new_end, .. } => {
                 self.stats.retractions += 1;
                 self.stats.data_messages += 1;
-                if r.is_full_removal() {
+                if *new_end <= event.interval.start {
                     self.stats.full_removals += 1;
                 }
-                self.current_end.insert(r.event.id.0, r.new_end);
-                let shortened = Interval::new(r.event.interval.start, r.new_end);
-                self.history.push(HistoryRow {
-                    id: r.event.id,
-                    valid: shortened,
-                    occurrence: shortened,
-                    cedr: Interval::from(cs),
-                    k: ChainKey(r.event.id.0),
-                    payload: r.event.payload.clone(),
-                });
-                self.deltas.push(OutputDelta::Retract {
-                    cedr_time: cs,
-                    event: r.event.clone(),
-                    new_end: r.new_end,
-                });
             }
-            Message::Cti(t) => {
+            OutputDelta::Cti { guarantee, .. } => {
                 self.stats.ctis += 1;
-                self.max_cti = Some(self.max_cti.map_or(*t, |m| TimePoint::max_of(m, *t)));
-                self.deltas.push(OutputDelta::Cti {
-                    cedr_time: cs,
-                    guarantee: *t,
-                });
+                self.max_cti = Some(
+                    self.max_cti
+                        .map_or(*guarantee, |m| TimePoint::max_of(m, *guarantee)),
+                );
             }
         }
-        self.stamped.push(Stamped::new(cs, msg));
     }
 
     /// Ingest a whole stream.
@@ -111,22 +113,48 @@ impl Collector {
     }
 
     /// Ingest every message of a batch. Events stay shared with the batch
-    /// (`Arc` clones); only history-table rows copy payloads out.
+    /// (`Arc` clones).
     pub fn absorb_batch(&mut self, batch: &crate::batch::MessageBatch) {
         for m in batch {
             self.push(m.clone());
         }
     }
 
-    /// The tritemporal history table accumulated so far.
-    pub fn history(&self) -> &HistoryTable {
-        &self.history
+    /// The tritemporal history table of the stream so far, folded from the
+    /// delta log: one row per data delta (an insert's lifetime, a
+    /// retraction's shortened lifetime), stamped with its CEDR time.
+    pub fn history(&self) -> HistoryTable {
+        let mut table = HistoryTable::new();
+        for d in &self.deltas {
+            let (cedr_time, event, lifetime) = match d {
+                OutputDelta::Insert { cedr_time, event } => (cedr_time, event, event.interval),
+                OutputDelta::Retract {
+                    cedr_time,
+                    event,
+                    new_end,
+                } => (
+                    cedr_time,
+                    event,
+                    Interval::new(event.interval.start, *new_end),
+                ),
+                OutputDelta::Cti { .. } => continue,
+            };
+            table.push(HistoryRow {
+                id: event.id,
+                valid: lifetime,
+                occurrence: lifetime,
+                cedr: Interval::from(*cedr_time),
+                k: ChainKey(event.id.0),
+                payload: event.payload.clone(),
+            });
+        }
+        table
     }
 
     /// The net logical content: the reduced table as a unitemporal table
     /// (each chain collapsed to its final lifetime, removals dropped).
     pub fn net_table(&self) -> UniTemporalTable {
-        self.history
+        self.history()
             .reduce()
             .rows
             .into_iter()
@@ -134,14 +162,28 @@ impl Collector {
             .collect()
     }
 
-    /// All stamped messages in arrival order.
-    pub fn stamped(&self) -> &[Stamped] {
-        &self.stamped
+    /// All messages in arrival order, each stamped with its CEDR time —
+    /// the delta log read back as [`Message`]s (an `Arc` bump per entry).
+    /// Prefer [`Collector::delta_log`] when comparing two outputs.
+    pub fn stamped(&self) -> Vec<Stamped> {
+        self.deltas
+            .iter()
+            .map(|d| {
+                let message = match d {
+                    OutputDelta::Insert { event, .. } => Message::Insert(event.clone()),
+                    OutputDelta::Retract { event, new_end, .. } => Message::Retract(Retraction {
+                        event: event.clone(),
+                        new_end: *new_end,
+                    }),
+                    OutputDelta::Cti { guarantee, .. } => Message::Cti(*guarantee),
+                };
+                Stamped::new(d.cedr_time(), message)
+            })
+            .collect()
     }
 
     /// The append-only output changelog, in arrival order — one
-    /// [`OutputDelta`] per message ever pushed, mirroring
-    /// [`Collector::stamped`] entry for entry. Subscriptions cursor into
+    /// [`OutputDelta`] per message ever pushed. Subscriptions cursor into
     /// this slice; see [`Collector::deltas_from`].
     pub fn delta_log(&self) -> &[OutputDelta] {
         &self.deltas
@@ -164,63 +206,16 @@ impl Collector {
     pub fn max_cti(&self) -> Option<TimePoint> {
         self.max_cti
     }
-
-    /// Decompose into plain checkpointable parts. `current_end` is sorted
-    /// by chain key so the decomposition (and any image built from it) is
-    /// deterministic regardless of hash-map iteration order.
-    pub fn to_parts(&self) -> CollectorParts {
-        let mut current_end: Vec<(u64, TimePoint)> =
-            self.current_end.iter().map(|(&k, &v)| (k, v)).collect();
-        current_end.sort_unstable_by_key(|&(k, _)| k);
-        CollectorParts {
-            history: self.history.clone(),
-            stamped: self.stamped.clone(),
-            deltas: self.deltas.clone(),
-            stats: self.stats.clone(),
-            current_end,
-            clock_ticks: self.clock.ticks(),
-            max_cti: self.max_cti,
-        }
-    }
-
-    /// Rebuild a collector from checkpointed parts. Inverse of
-    /// [`Collector::to_parts`].
-    pub fn from_parts(parts: CollectorParts) -> Collector {
-        Collector {
-            history: parts.history,
-            stamped: parts.stamped,
-            deltas: parts.deltas,
-            stats: parts.stats,
-            current_end: parts.current_end.into_iter().collect(),
-            clock: crate::clock::CedrClock::from_ticks(parts.clock_ticks),
-            max_cti: parts.max_cti,
-        }
-    }
-}
-
-/// A [`Collector`] decomposed into plain data for checkpointing: every
-/// private field surfaced as an owned, deterministic value (maps as sorted
-/// vectors, the clock as its raw tick counter).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CollectorParts {
-    pub history: HistoryTable,
-    pub stamped: Vec<Stamped>,
-    pub deltas: Vec<OutputDelta>,
-    pub stats: StreamStats,
-    /// `(chain key, current lifetime end)`, sorted by chain key.
-    pub current_end: Vec<(u64, TimePoint)>,
-    pub clock_ticks: u64,
-    pub max_cti: Option<TimePoint>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Retraction;
     use crate::source::StreamBuilder;
     use cedr_temporal::interval::iv;
     use cedr_temporal::time::t;
-    use cedr_temporal::{EquivalenceOptions, Event, EventId, Payload};
+    use cedr_temporal::{EquivalenceOptions, Event, EventId, Payload, Value};
+    use std::sync::Arc;
 
     #[test]
     fn collects_inserts_and_retractions_into_chains() {
@@ -266,28 +261,106 @@ mod tests {
         c2.push_all(scrambled);
 
         assert!(cedr_temporal::logically_equivalent(
-            c1.history(),
-            c2.history(),
+            &c1.history(),
+            &c2.history(),
             EquivalenceOptions::definition1(),
         ));
     }
 
-    #[test]
-    fn delta_log_mirrors_stamped_entry_for_entry() {
-        let mut b = StreamBuilder::new();
-        let e = b.insert(iv(1, 10), Payload::empty());
-        b.retract(e, t(4));
+    /// insert a, insert b, shorten a, remove b, CTI — the sequence every
+    /// derived view below is folded from.
+    fn hand_written() -> (Collector, Arc<Event>, Arc<Event>) {
+        let a = Arc::new(Event::primitive(
+            EventId(1),
+            iv(1, 10),
+            Payload::from_values(vec![Value::Int(7)]),
+        ));
+        let b = Arc::new(Event::primitive(EventId(2), iv(3, 8), Payload::empty()));
         let mut c = Collector::new();
-        c.push_all(b.build_ordered(None, true));
-        assert_eq!(c.delta_log().len(), c.stamped().len());
-        for (d, s) in c.delta_log().iter().zip(c.stamped()) {
-            assert_eq!(d.cedr_time(), s.cedr_time);
-            assert_eq!(d.sync(), s.message.sync());
-            assert_eq!(d.is_data(), s.message.is_data());
+        c.push(Message::Insert(a.clone()));
+        c.push(Message::Insert(b.clone()));
+        c.push(Message::retract_event(a.clone(), t(4)));
+        c.push(Message::retract_event(b.clone(), t(3)));
+        c.push(Message::Cti(t(12)));
+        (c, a, b)
+    }
+
+    #[test]
+    fn every_view_is_a_fold_of_the_one_log() {
+        let (c, a, b) = hand_written();
+        assert_eq!(c.delta_log().len(), 5);
+        assert_eq!(
+            *c.stats(),
+            StreamStats {
+                inserts: 2,
+                retractions: 2,
+                full_removals: 1,
+                ctis: 1,
+                data_messages: 4,
+            }
+        );
+        assert_eq!(c.max_cti(), Some(t(12)));
+
+        // History: one row per data delta, lifetime as of that delta,
+        // stamped with its arrival tick; the CTI contributes no row.
+        let row = |e: &Event, lifetime, cs: u64| HistoryRow {
+            id: e.id,
+            valid: lifetime,
+            occurrence: lifetime,
+            cedr: Interval::from(t(cs)),
+            k: ChainKey(e.id.0),
+            payload: e.payload.clone(),
+        };
+        assert_eq!(
+            c.history().rows,
+            vec![
+                row(&a, iv(1, 10), 0),
+                row(&b, iv(3, 8), 1),
+                row(&a, iv(1, 4), 2),
+                row(&b, iv(3, 3), 3),
+            ]
+        );
+
+        // Stamped tape: the same five messages, in order.
+        assert_eq!(
+            c.stamped(),
+            vec![
+                Stamped::new(t(0), Message::Insert(a.clone())),
+                Stamped::new(t(1), Message::Insert(b.clone())),
+                Stamped::new(t(2), Message::retract_event(a.clone(), t(4))),
+                Stamped::new(t(3), Message::retract_event(b.clone(), t(3))),
+                Stamped::new(t(4), Message::Cti(t(12))),
+            ]
+        );
+
+        // Net content: a shortened to [1, 4), b removed.
+        let net = c.net_table();
+        assert_eq!(net.len(), 1);
+        assert_eq!(net.rows[0].id, a.id);
+        assert_eq!(net.rows[0].interval, iv(1, 4));
+        assert_eq!(net.rows[0].payload, a.payload);
+    }
+
+    #[test]
+    fn from_deltas_rebuilds_an_indistinguishable_collector() {
+        let (mut c, a, _) = hand_written();
+        let mut rebuilt = Collector::from_deltas(c.delta_log().to_vec());
+        assert_eq!(rebuilt.delta_log(), c.delta_log());
+        assert_eq!(rebuilt.stats(), c.stats());
+        assert_eq!(rebuilt.max_cti(), c.max_cti());
+        // The clock resumes where the log ends: the next arrival gets the
+        // same stamp in both.
+        for col in [&mut c, &mut rebuilt] {
+            col.push(Message::retract_event(a.clone(), t(2)));
         }
-        // Cursors: a suffix read picks up exactly what a full read holds.
-        let mid = c.delta_log().len() / 2;
-        assert_eq!(c.deltas_from(mid), &c.delta_log()[mid..]);
+        assert_eq!(rebuilt.delta_log().last(), c.delta_log().last());
+        assert_eq!(c.delta_log()[5].cedr_time(), t(5));
+    }
+
+    #[test]
+    fn deltas_from_reads_the_suffix_past_a_cursor() {
+        let (c, _, _) = hand_written();
+        assert_eq!(c.deltas_from(2), &c.delta_log()[2..]);
         assert!(c.deltas_from(c.delta_log().len() + 10).is_empty());
     }
 

@@ -4,14 +4,15 @@
 //! updates*: inserts, retractions and CTIs, in CEDR-time order (Section 5).
 //! [`OutputDelta`] is that model made consumable — each delta is one entry
 //! of a [`Collector`](crate::Collector)'s append-only **delta log**, stamped
-//! with the CEDR (arrival) time the sink observed it. Subscriptions (see
-//! `cedr-core`) hold cursors into this log and drain it incrementally, so a
-//! consumer observes exactly the insert/retract/CTI change stream the query
-//! emitted — bit-identical to [`Collector::stamped`](crate::Collector::stamped)
-//! — instead of re-reading whole output tables.
+//! with the CEDR (arrival) time the sink observed it. The log is the
+//! collector's only per-message store: history tables, the stamped tape
+//! and the net table are folds over it. Subscriptions (see `cedr-core`)
+//! hold cursors into the log and drain it incrementally, so a consumer
+//! observes exactly the insert/retract/CTI change stream the query
+//! emitted instead of re-reading whole output tables.
 //!
 //! Events are carried behind [`Arc`], so a delta is a refcount bump to
-//! clone; logging deltas next to the stamped tape costs no payload copies.
+//! clone and logging one costs no payload copy.
 
 use cedr_temporal::{Event, TimePoint};
 use serde::{Deserialize, Serialize};
@@ -22,10 +23,9 @@ use std::sync::Arc;
 /// which the sink observed it.
 ///
 /// The variants mirror the three physical message kinds of
-/// [`Message`](crate::Message); a drained delta stream therefore carries
-/// the same information, in the same order, as the collector's stamped
-/// tape — pinned bit-for-bit by the `sessioned_io` integration tests at
-/// every consistency level and thread count.
+/// [`Message`](crate::Message): a delta is the message the sink received
+/// plus its arrival stamp, so a drained delta stream carries exactly what
+/// the query emitted, in order.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OutputDelta {
     /// A new output event with lifetime `[Vs, Ve)`.

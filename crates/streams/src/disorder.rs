@@ -2,9 +2,8 @@
 //!
 //! The paper attributes out-of-order delivery to "unreliable network
 //! protocols, system crash recovery, and other anomalies in the physical
-//! world" (Section 2). We do not have the authors' enterprise network, so —
-//! per the substitution rule in DESIGN.md — this module simulates one: a
-//! seeded, parameterised scrambler that perturbs a sync-ordered stream into
+//! world" (Section 2). We do not have the authors' enterprise network, so
+//! this module simulates one: a seeded, parameterised scrambler that perturbs a sync-ordered stream into
 //! a logically equivalent, physically disordered one, re-issuing *valid*
 //! CTIs at a configurable frequency.
 //!

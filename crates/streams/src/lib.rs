@@ -20,7 +20,7 @@ pub mod source;
 
 pub use batch::{ColumnarView, MessageBatch, MessageKind};
 pub use clock::{CedrClock, LogicalClock};
-pub use collect::{Collector, CollectorParts, StreamStats};
+pub use collect::{Collector, StreamStats};
 pub use delta::OutputDelta;
 pub use disorder::{disorder_profile, scramble, DisorderConfig};
 pub use merge::merge_by_sync;

@@ -6,9 +6,8 @@
 //! promise that speculative output with retractions makes query results
 //! independent of arrival order) is proven *end to end* by restoring a
 //! canonical order **before** execution: every emission carries an origin
-//! stamp `(producer key, emission seq)` — the same stamp vocabulary as
-//! the sharded scheduler's deterministic merge — and a [`Resequencer`]
-//! releases emissions in **canonical round order**:
+//! stamp `(producer key, emission seq)` and a [`Resequencer`] releases
+//! emissions in **canonical round order**:
 //!
 //! > round of an emission = the producer's *base round* (the round at
 //! > which the producer was registered) + its emission seq; rounds are

@@ -184,15 +184,15 @@ pub fn drive_leg(
     }
 }
 
-/// Assert the bit-identity pin between two finished legs: stamped tape,
+/// Assert the bit-identity pin between two finished legs: delta log,
 /// freshly drained subscription deltas and output CTI, per query.
 /// Returns the number of per-query comparisons performed.
 pub fn assert_legs_identical(label: &str, a: &LegRun, b: &LegRun) -> usize {
     let mut checks = 0usize;
     for ((name, qa), (_, qb)) in a.queries.iter().zip(b.queries.iter()) {
         assert_eq!(
-            a.engine.collector(*qa).stamped(),
-            b.engine.collector(*qb).stamped(),
+            a.engine.collector(*qa).delta_log(),
+            b.engine.collector(*qb).delta_log(),
             "{label}: stamped tape diverged on {name}"
         );
         let (mut sa, mut sb) = (

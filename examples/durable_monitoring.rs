@@ -138,8 +138,8 @@ fn main() {
 
     assert_eq!(consumed, straight, "same number of deltas either way");
     assert_eq!(
-        engine.collector(q).stamped(),
-        unfailed.collector(uq).stamped(),
+        engine.collector(q).delta_log(),
+        unfailed.collector(uq).delta_log(),
         "stamped tapes are bit-identical"
     );
     assert_eq!(

@@ -101,15 +101,12 @@ fn workload(seed: u64) -> Vec<(&'static str, Message)> {
     }
 }
 
-/// Drive the tape one message at a time (deliberately through the
-/// deprecated string-keyed shim, so the equivalence suite keeps pinning
-/// the shim path against the sessioned one).
-#[allow(deprecated)]
+/// Drive the tape one message at a time (one cascade per message).
 fn run_single(spec: ConsistencySpec, tape: &[(&'static str, Message)]) -> (Engine, Vec<QueryId>) {
     let mut engine = Engine::new();
     let qs = register_queries(&mut engine, spec);
     for (ty, m) in tape {
-        engine.push(ty, m.clone()).unwrap();
+        engine.source(ty).unwrap().send(m.clone());
     }
     engine.seal();
     (engine, qs)
@@ -275,8 +272,8 @@ fn parallel_workers_match_serial_bit_for_bit_at_all_levels() {
                 );
                 for (a, b) in qs.iter().zip(qp.iter()) {
                     assert_eq!(
-                        serial.collector(*a).stamped(),
-                        par.collector(*b).stamped(),
+                        serial.collector(*a).delta_log(),
+                        par.collector(*b).delta_log(),
                         "{level}/seed {seed:#x}/threads {threads}: {} diverged",
                         serial.query_name(*a),
                     );
@@ -444,8 +441,8 @@ fn stateful_heavy_parallel_workers_bit_identical_at_all_levels() {
                 let (par, qp) = run_chunked(spec, &tape, threads, 8);
                 for (a, b) in qs.iter().zip(qp.iter()) {
                     assert_eq!(
-                        serial.collector(*a).stamped(),
-                        par.collector(*b).stamped(),
+                        serial.collector(*a).delta_log(),
+                        par.collector(*b).delta_log(),
                         "{level}/seed {seed:#x}/threads {threads}: {} diverged",
                         serial.query_name(*a),
                     );
@@ -671,8 +668,8 @@ fn group_aggregate_collapses_to_one_refresh_per_touched_group_per_run() {
     let (strong_single, qs1) = run_single(ConsistencySpec::strong(), &tape);
     let (strong_batched, qs2) = run_batched(ConsistencySpec::strong(), &tape);
     assert_eq!(
-        strong_single.collector(qs1[0]).stamped(),
-        strong_batched.collector(qs2[0]).stamped(),
+        strong_single.collector(qs1[0]).delta_log(),
+        strong_batched.collector(qs2[0]).delta_log(),
         "strong-level group-aggregate tape must be bit-identical"
     );
 }

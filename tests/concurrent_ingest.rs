@@ -161,8 +161,8 @@ fn assert_bit_identical(
 ) {
     for (qx, qy) in qa.iter().zip(qb.iter()) {
         assert_eq!(
-            a.collector(*qx).stamped(),
-            b.collector(*qy).stamped(),
+            a.collector(*qx).delta_log(),
+            b.collector(*qy).delta_log(),
             "{label}: stamped tape diverged on {}",
             a.query_name(*qx),
         );

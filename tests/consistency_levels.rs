@@ -162,7 +162,7 @@ fn blocking_grows_along_b_and_corners_bound_output() {
     // output volume the paper pins the *corners*: the fully blocking corner
     // emits no repairs at all, so its output is minimal. (Interior points
     // use deadline-based optimism and need not be monotone for negation
-    // plans — see EXPERIMENTS.md.)
+    // plans.)
     let (streams, _) = workload();
     let mut blocked = Vec::new();
     let mut outputs = Vec::new();

@@ -140,15 +140,15 @@ fn fused_matches_unfused_bit_for_bit_across_seeds_levels_workers() {
                 let (compiled, qs_c) = run(spec(), &tape, threads, true, true);
                 for ((a, b), c) in qs_u.iter().zip(qs_i.iter()).zip(qs_c.iter()) {
                     let name = unfused.query_name(*a);
-                    let reference = unfused.collector(*a).stamped();
+                    let reference = unfused.collector(*a).delta_log();
                     assert_eq!(
                         reference,
-                        interp.collector(*b).stamped(),
+                        interp.collector(*b).delta_log(),
                         "{level}/seed {seed:#x}/threads {threads}: {name} interpreted tape diverged",
                     );
                     assert_eq!(
                         reference,
-                        compiled.collector(*c).stamped(),
+                        compiled.collector(*c).delta_log(),
                         "{level}/seed {seed:#x}/threads {threads}: {name} compiled tape diverged",
                     );
                     assert_eq!(
@@ -298,7 +298,6 @@ fn explain_renders_fused_chains_and_the_escape_hatch() {
 /// paths (no run, no columnar view — compiled kernels fall back to
 /// per-row evaluation) — same pin, per-message, on both execution modes.
 #[test]
-#[allow(deprecated)]
 fn fused_per_message_path_matches_unfused() {
     for (spec, level) in LEVELS {
         let tape = tape(0x5EED5);
@@ -310,7 +309,7 @@ fn fused_per_message_path_matches_unfused() {
             );
             let qs = register_queries(&mut engine, spec());
             for m in &tape {
-                engine.push("A_T", m.clone()).unwrap();
+                engine.source("A_T").unwrap().send(m.clone());
             }
             engine.seal();
             (engine, qs)
@@ -319,16 +318,16 @@ fn fused_per_message_path_matches_unfused() {
         let (interp, qs_i) = drive(true, false);
         let (compiled, qs_c) = drive(true, true);
         for ((a, b), c) in qs_u.iter().zip(qs_i.iter()).zip(qs_c.iter()) {
-            let reference = unfused.collector(*a).stamped();
+            let reference = unfused.collector(*a).delta_log();
             assert_eq!(
                 reference,
-                interp.collector(*b).stamped(),
+                interp.collector(*b).delta_log(),
                 "{level}: {} per-message tape diverged",
                 unfused.query_name(*a),
             );
             assert_eq!(
                 reference,
-                compiled.collector(*c).stamped(),
+                compiled.collector(*c).delta_log(),
                 "{level}: {} per-message compiled tape diverged",
                 unfused.query_name(*a),
             );
@@ -414,19 +413,19 @@ fn type_confused_union_runs_share_one_fused_chain() {
             let (unfused, q_u) = drive(false, false);
             let (interp, q_i) = drive(true, false);
             let (compiled, q_c) = drive(true, true);
-            let reference = unfused.collector(q_u).stamped();
+            let reference = unfused.collector(q_u).delta_log();
             assert!(
                 !reference.is_empty(),
                 "{level}/threads {threads}: workload produced no output"
             );
             assert_eq!(
                 reference,
-                interp.collector(q_i).stamped(),
+                interp.collector(q_i).delta_log(),
                 "{level}/threads {threads}: interpreted tape diverged"
             );
             assert_eq!(
                 reference,
-                compiled.collector(q_c).stamped(),
+                compiled.collector(q_c).delta_log(),
                 "{level}/threads {threads}: compiled tape diverged"
             );
             assert!(

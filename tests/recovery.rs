@@ -172,8 +172,8 @@ fn assert_bit_identical(
 ) {
     for (qx, qy) in qa.iter().zip(qb.iter()) {
         assert_eq!(
-            a.collector(*qx).stamped(),
-            b.collector(*qy).stamped(),
+            a.collector(*qx).delta_log(),
+            b.collector(*qy).delta_log(),
             "{label}: stamped tape diverged on {}",
             a.query_name(*qx),
         );
@@ -238,7 +238,7 @@ fn stateful_operators_hold_live_state_at_the_checkpoint_boundary() {
     }
     let at_boundary: Vec<usize> = qs
         .iter()
-        .map(|q| engine.collector(*q).stamped().len())
+        .map(|q| engine.collector(*q).delta_log().len())
         .collect();
     let image = engine.checkpoint_to_vec().unwrap();
     drop(engine);
@@ -255,7 +255,7 @@ fn stateful_operators_hold_live_state_at_the_checkpoint_boundary() {
             engine.query_name(*q)
         );
         assert!(
-            engine.collector(*q).stamped().len() > before,
+            engine.collector(*q).delta_log().len() > before,
             "{}: no output after the restore — replay never exercised the state",
             engine.query_name(*q)
         );
@@ -363,6 +363,11 @@ fn corrupt_images_fail_typed_and_leave_the_engine_untouched() {
     let mut bad = image.clone();
     bad[8] = 0xfe;
     expect_corrupt(&mut engine, &bad, "header", "version");
+    // In particular the previous layout (v1: collector history, stamped
+    // tape and delta log all in the image) is refused, never half-read.
+    let mut v1 = image.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    expect_corrupt(&mut engine, &v1, "header", "image is v1");
 
     // Any flipped body bit fails the content checksum.
     let mut bad = image.clone();

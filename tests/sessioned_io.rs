@@ -2,13 +2,12 @@
 //! must be a *view change*, not a semantics change.
 //!
 //! * A subscription's drained `OutputDelta` stream equals the collector's
-//!   stamped tape **bit for bit** — same entries, same order, same CEDR
+//!   delta log **bit for bit** — same entries, same order, same CEDR
 //!   times — across seeds × Strong/Middle/Weak (loose and biting horizon)
 //!   × worker counts, including mid-stream cursor resume after partial
 //!   drains.
-//! * Handle ingestion is bit-identical to the deprecated string-keyed
-//!   shims at matching granularity (per-message `send` ≡ `push`, staged
-//!   `stage_batch`+`flush` ≡ `enqueue_batch`).
+//! * Handle staging is bit-identical to engine-level staging at matching
+//!   granularity (`stage_batch`+`flush` ≡ `enqueue_batch`).
 
 use cedr::core::prelude::*;
 use cedr::streams::{scramble, MessageBatch};
@@ -86,30 +85,6 @@ fn workload(seed: u64) -> Vec<(&'static str, Message)> {
     }
 }
 
-/// Re-derive the expected delta stream from the stamped tape — an
-/// *independent* mapping, so the test pins the two logs against each
-/// other rather than trusting either.
-fn expected_deltas(c: &Collector) -> Vec<OutputDelta> {
-    c.stamped()
-        .iter()
-        .map(|s| match &s.message {
-            Message::Insert(e) => OutputDelta::Insert {
-                cedr_time: s.cedr_time,
-                event: e.clone(),
-            },
-            Message::Retract(r) => OutputDelta::Retract {
-                cedr_time: s.cedr_time,
-                event: r.event.clone(),
-                new_end: r.new_end,
-            },
-            Message::Cti(g) => OutputDelta::Cti {
-                cedr_time: s.cedr_time,
-                guarantee: *g,
-            },
-        })
-        .collect()
-}
-
 type LevelSpec = fn() -> ConsistencySpec;
 
 const LEVELS: [(LevelSpec, &str); 4] = [
@@ -121,10 +96,10 @@ const LEVELS: [(LevelSpec, &str); 4] = [
 
 /// Subscriptions drained incrementally — partial `take` cuts of varying
 /// width interleaved with chunked handle ingestion, cursor resume after
-/// every cut — reconstruct exactly the collector's stamped tape, at every
+/// every cut — reconstruct exactly the collector's delta log, at every
 /// level, seed, and worker count.
 #[test]
-fn subscription_deltas_match_stamped_bit_for_bit() {
+fn subscription_deltas_match_the_log_bit_for_bit() {
     for (spec, level) in LEVELS {
         for seed in [0x5E55_u64, 0x10CA1] {
             for threads in [1usize, 4] {
@@ -167,12 +142,12 @@ fn subscription_deltas_match_stamped_bit_for_bit() {
                 }
 
                 for ((q, sub), got) in qs.iter().zip(&subs).zip(&collected) {
-                    let want = expected_deltas(engine.collector(*q));
+                    let want = engine.collector(*q).delta_log();
                     assert_eq!(
                         got,
-                        &want,
+                        want,
                         "{level}/seed {seed:#x}/threads {threads}: {} subscription \
-                         diverged from the stamped tape",
+                         diverged from the delta log",
                         engine.query_name(*q),
                     );
                     assert_eq!(sub.position(), want.len());
@@ -219,7 +194,7 @@ fn mid_stream_subscription_resume() {
     let suffix: Vec<OutputDelta> = late.poll(&mut engine).to_vec();
     assert_eq!(
         suffix.as_slice(),
-        &expected_deltas(engine.collector(q))[skipped..],
+        &engine.collector(q).delta_log()[skipped..],
         "resumed cursor must observe exactly the suffix"
     );
 
@@ -274,40 +249,35 @@ fn for_each_redelivers_after_a_panicking_sink() {
     );
 }
 
-/// Handle ingestion is bit-identical to the deprecated shims at matching
-/// granularity: `send` per message ≡ `push` per message, and chunked
-/// `stage_batch`+drain ≡ chunked `enqueue_batch`+drain.
+/// `take` with a huge `max` after an earlier partial drain: `start + max`
+/// must saturate, not overflow (debug panic; in release the wrapped end
+/// moved the cursor backwards and panicked on the slice).
 #[test]
-#[allow(deprecated)]
-fn handle_paths_match_shim_paths_bit_for_bit() {
+fn take_usize_max_after_a_partial_take_returns_the_remainder() {
+    let mut engine = Engine::new();
+    let qs = register_queries(&mut engine, ConsistencySpec::middle());
+    for (ty, m) in workload(0x7A4E) {
+        engine.source(ty).unwrap().stage(m);
+    }
+    engine.seal();
+    let q = qs[0];
+    let total = engine.collector(q).delta_log().len();
+    assert!(total > 3, "workload must produce output");
+
+    let mut sub = engine.subscribe(q).unwrap();
+    assert_eq!(sub.take(&engine, 3).len(), 3);
+    let rest = sub.take(&engine, usize::MAX);
+    assert_eq!(rest, &engine.collector(q).delta_log()[3..]);
+    assert_eq!(sub.position(), total);
+    assert!(sub.take(&engine, usize::MAX).is_empty());
+}
+
+/// Handle staging is bit-identical to engine-level staging at matching
+/// granularity: chunked `stage_batch`+drain ≡ chunked `enqueue_batch`+drain.
+#[test]
+fn staged_handle_path_matches_enqueue_batch_bit_for_bit() {
     for (spec, level) in LEVELS {
         let tape = workload(0xB17);
-
-        // Per-message granularity.
-        let mut shim = Engine::new();
-        let qs_shim = register_queries(&mut shim, spec());
-        for (ty, m) in &tape {
-            shim.push(ty, m.clone()).unwrap();
-        }
-        shim.seal();
-
-        let mut sessioned = Engine::new();
-        let qs_sess = register_queries(&mut sessioned, spec());
-        for (ty, m) in &tape {
-            sessioned.source(ty).unwrap().send(m.clone());
-        }
-        sessioned.seal();
-
-        for (a, b) in qs_shim.iter().zip(qs_sess.iter()) {
-            assert_eq!(
-                shim.collector(*a).stamped(),
-                sessioned.collector(*b).stamped(),
-                "{level}: per-message handle path diverged from push shim"
-            );
-            assert_eq!(shim.stats(*a), sessioned.stats(*b));
-        }
-
-        // Chunked/staged granularity.
         let feed_chunks = |engine: &mut Engine, staged: bool| {
             for chunk in tape.chunks(16) {
                 for ty in ["A_T", "B_T", "C_T"] {
@@ -337,8 +307,8 @@ fn handle_paths_match_shim_paths_bit_for_bit() {
         feed_chunks(&mut hnd, true);
         for (a, b) in qs_enq.iter().zip(qs_hnd.iter()) {
             assert_eq!(
-                enq.collector(*a).stamped(),
-                hnd.collector(*b).stamped(),
+                enq.collector(*a).delta_log(),
+                hnd.collector(*b).delta_log(),
                 "{level}: staged handle path diverged from enqueue_batch"
             );
         }

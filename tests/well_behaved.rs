@@ -262,8 +262,8 @@ proptest! {
         let mut c2 = Collector::new();
         c2.push_all(d2);
         prop_assert!(cedr::temporal::logically_equivalent(
-            c1.history(),
-            c2.history(),
+            &c1.history(),
+            &c2.history(),
             cedr::temporal::EquivalenceOptions::definition1(),
         ));
     }

@@ -18,12 +18,35 @@
 //! [`NegationScope::History`] — the lineage scope `(e1.Rt, e1.Vs)` shared by
 //! CANCEL-WHEN and NOT(E, SEQUENCE(…)) (for sequences over primitive
 //! contributors `cbt[1].Vs = Rt` exactly).
+//!
+//! **State and advance.** Candidates live in a `(Vs, id)`-ordered index;
+//! those that are neither emitted nor killed are also in `pending`, a
+//! derived set kept current at every transition (arrival, kill, revival,
+//! removal, sealing, forgetting) and rebuilt on restore rather than
+//! persisted. `on_advance` — called on every watermark move — costs what
+//! it *releases and seals*, not what is live, and relies on two
+//! invariants:
+//!
+//! * **Release is monotone in `Vs`.** A held candidate may be emitted once
+//!   the watermark covers its scope end or, at finite `B`, once the stream
+//!   has advanced `B` past its `Vs`; both the scope end (`Vs + w`, or `Vs`
+//!   for History) and the deadline (`Vs + B`) grow with `Vs`. So the
+//!   advance releases from the front of `pending` and stops at the first
+//!   candidate that must still wait: exactly the candidates a scan of the
+//!   whole index would release, in the same `(Vs, id)` order.
+//! * **Sealing is monotone in `Vs`.** A candidate is final — no negator
+//!   and no removal of it can still arrive — once the watermark covers its
+//!   scope end and has passed its `Vs`, so the sealed candidates are a
+//!   prefix of the index, as are those the memory horizon forgets.
+//!
+//! A negator is purged, together with its kill list, once the watermark
+//! rules out both a new candidate it could kill and its own removal.
 
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Pred;
 use cedr_streams::{Message, Retraction};
 use cedr_temporal::{Duration, Event, EventId, Interval, Lineage, TimePoint};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The negation scope.
@@ -49,6 +72,10 @@ pub struct NegationOp {
     neg_pred: Pred,
     entries: HashMap<EventId, Entry>,
     entries_by_vs: BTreeMap<(TimePoint, EventId), ()>,
+    /// Candidates that are neither emitted nor killed — the only ones an
+    /// advance can release. Derived from `entries` (rebuilt on restore,
+    /// never persisted).
+    pending: BTreeSet<(TimePoint, EventId)>,
     e2s: HashMap<EventId, Event>,
     e2s_by_vs: BTreeMap<(TimePoint, EventId), ()>,
     kill_index: HashMap<EventId, Vec<EventId>>,
@@ -59,6 +86,36 @@ pub struct NegationOp {
     max_history: Option<Duration>,
 }
 
+/// The time at which the watermark confirms non-occurrence for a candidate
+/// occurring at `vs` — the end of its scope. Monotone in `vs` for both
+/// scopes, which is what lets an advance work on prefixes.
+fn scope_end(scope: NegationScope, vs: TimePoint) -> TimePoint {
+    match scope {
+        NegationScope::After { w } => vs + w,
+        NegationScope::History => vs,
+    }
+}
+
+/// May a clear candidate occurring at `vs` be emitted now — confirmed by
+/// the watermark, or optimistically under the spec's blocking bound? Both
+/// conditions are monotone in `vs`.
+fn may_release(scope: NegationScope, vs: TimePoint, ctx: &OpContext) -> bool {
+    ctx.watermark >= scope_end(scope, vs) || ctx.may_emit_optimistically(vs)
+}
+
+fn output_of(scope: NegationScope, e1: &Event) -> Event {
+    match scope {
+        NegationScope::After { w } => Event::composite(
+            e1.id,
+            Interval::new(e1.vs(), e1.vs() + w),
+            e1.root_time,
+            Lineage::of(vec![e1.id]),
+            e1.payload.clone(),
+        ),
+        NegationScope::History => e1.clone(),
+    }
+}
+
 impl NegationOp {
     pub fn new(scope: NegationScope, neg_pred: Pred) -> Self {
         NegationOp {
@@ -66,6 +123,7 @@ impl NegationOp {
             neg_pred,
             entries: HashMap::new(),
             entries_by_vs: BTreeMap::new(),
+            pending: BTreeSet::new(),
             e2s: HashMap::new(),
             e2s_by_vs: BTreeMap::new(),
             kill_index: HashMap::new(),
@@ -90,28 +148,11 @@ impl NegationOp {
     }
 
     fn scope_of(&self, e1: &Event) -> (TimePoint, TimePoint) {
-        match self.scope {
-            NegationScope::After { w } => (e1.vs(), e1.vs() + w),
-            NegationScope::History => (e1.root_time, e1.vs()),
-        }
-    }
-
-    /// The time at which non-occurrence is confirmed by the watermark.
-    fn confirm_time(&self, e1: &Event) -> TimePoint {
-        self.scope_of(e1).1
-    }
-
-    fn output_of(&self, e1: &Event) -> Event {
-        match self.scope {
-            NegationScope::After { w } => Event::composite(
-                e1.id,
-                Interval::new(e1.vs(), e1.vs() + w),
-                e1.root_time,
-                Lineage::of(vec![e1.id]),
-                e1.payload.clone(),
-            ),
-            NegationScope::History => e1.clone(),
-        }
+        let start = match self.scope {
+            NegationScope::After { .. } => e1.vs(),
+            NegationScope::History => e1.root_time,
+        };
+        (start, scope_end(self.scope, e1.vs()))
     }
 
     fn negates(&self, e1: &Event, e2: &Event) -> bool {
@@ -119,20 +160,39 @@ impl NegationOp {
         a < e2.vs() && e2.vs() < b && self.neg_pred.eval_tuple(&[e1, e2])
     }
 
-    fn try_emit(
-        scope_end: TimePoint,
-        anchor: TimePoint,
+    /// Emit a clear (unkilled, unemitted) candidate if the monitor allows
+    /// it now, else park it in `pending` for a later advance.
+    fn release_or_hold(
+        scope: NegationScope,
+        pending: &mut BTreeSet<(TimePoint, EventId)>,
         entry: &mut Entry,
-        output: Event,
         ctx: &mut OpContext,
     ) {
-        if entry.emitted || !entry.killers.is_empty() {
-            return;
+        debug_assert!(!entry.emitted && entry.killers.is_empty());
+        let vs = entry.e1.vs();
+        if may_release(scope, vs, ctx) {
+            Self::emit(scope, entry, ctx);
+        } else {
+            pending.insert((vs, entry.e1.id));
         }
-        let confirmed = ctx.watermark >= scope_end;
-        if confirmed || ctx.may_emit_optimistically(anchor) {
-            ctx.out.insert(output);
-            entry.emitted = true;
+    }
+
+    fn emit(scope: NegationScope, entry: &mut Entry, ctx: &mut OpContext) {
+        ctx.out.insert(output_of(scope, &entry.e1));
+        entry.emitted = true;
+    }
+
+    /// Drop the leading candidates whose `Vs` satisfies `gone`, which must
+    /// be monotone (once false for a `Vs`, false for every later one).
+    fn drop_candidates_while(&mut self, gone: impl Fn(TimePoint) -> bool) {
+        while let Some(entry) = self.entries_by_vs.first_entry() {
+            let (vs, id) = *entry.key();
+            if !gone(vs) {
+                break;
+            }
+            entry.remove();
+            self.entries.remove(&id);
+            self.pending.remove(&(vs, id));
         }
     }
 
@@ -165,22 +225,25 @@ impl NegationOp {
             NegationScope::History => self.entries_by_vs.keys().map(|&(_, id)| id).collect(),
         };
         for e1_id in affected {
-            let Some(e1) = self.entries.get(&e1_id).map(|en| en.e1.clone()) else {
+            let Some(entry) = self.entries.get(&e1_id) else {
                 continue;
             };
-            if !self.negates(&e1, event) {
+            if !self.negates(&entry.e1, event) {
                 continue;
             }
-            let out = self.output_of(&e1);
             let entry = self.entries.get_mut(&e1_id).expect("present");
             let was_clear = entry.killers.is_empty();
             entry.killers.insert(event.id);
             self.kill_index.entry(event.id).or_default().push(e1_id);
-            let entry = self.entries.get_mut(&e1_id).expect("present");
-            if entry.emitted && was_clear {
+            if !was_clear {
+                continue;
+            }
+            if entry.emitted {
                 // Repair the optimistic output.
-                ctx.out.retract_full(out);
+                ctx.out.retract_full(output_of(self.scope, &entry.e1));
                 entry.emitted = false;
+            } else {
+                self.pending.remove(&(entry.e1.vs(), e1_id));
             }
         }
     }
@@ -226,9 +289,9 @@ impl OperatorModule for NegationOp {
                     self.kill_index.entry(*e2id).or_default().push(event.id);
                 }
             }
-            let scope_end = self.confirm_time(event);
-            let output = self.output_of(event);
-            Self::try_emit(scope_end, event.vs(), &mut entry, output, ctx);
+            if entry.killers.is_empty() {
+                Self::release_or_hold(self.scope, &mut self.pending, &mut entry, ctx);
+            }
             self.entries_by_vs.insert((event.vs(), event.id), ());
             self.entries.insert(event.id, entry);
         } else if self.admit_negator(event) {
@@ -279,9 +342,11 @@ impl OperatorModule for NegationOp {
             let Some(entry) = self.entries.remove(&r.event.id) else {
                 return;
             };
-            self.entries_by_vs.remove(&(entry.e1.vs(), entry.e1.id));
+            let key = (entry.e1.vs(), entry.e1.id);
+            self.entries_by_vs.remove(&key);
+            self.pending.remove(&key);
             if entry.emitted {
-                ctx.out.retract_full(self.output_of(&entry.e1));
+                ctx.out.retract_full(output_of(self.scope, &entry.e1));
             }
         } else {
             if self.e2s.remove(&r.event.id).is_none() {
@@ -290,57 +355,40 @@ impl OperatorModule for NegationOp {
             self.e2s_by_vs.remove(&(r.event.interval.start, r.event.id));
             // Revive candidates this negator was (solely) killing.
             for e1_id in self.kill_index.remove(&r.event.id).unwrap_or_default() {
-                let Some(e1) = self.entries.get(&e1_id).map(|en| en.e1.clone()) else {
+                let Some(entry) = self.entries.get_mut(&e1_id) else {
                     continue;
                 };
-                let scope_end = self.confirm_time(&e1);
-                let output = self.output_of(&e1);
-                let entry = self.entries.get_mut(&e1_id).expect("present");
                 entry.killers.remove(&r.event.id);
-                Self::try_emit(scope_end, e1.vs(), entry, output, ctx);
+                if entry.killers.is_empty() && !entry.emitted {
+                    Self::release_or_hold(self.scope, &mut self.pending, entry, ctx);
+                }
             }
         }
     }
 
     fn on_advance(&mut self, ctx: &mut OpContext) {
-        // 1. Confirm / optimistically release pending candidates; drop
-        //    entries whose scope the watermark has sealed (they are final).
-        let mut sealed: Vec<EventId> = Vec::new();
-        let ids: Vec<EventId> = self.entries_by_vs.keys().map(|&(_, id)| id).collect();
-        for id in ids {
-            let Some(e1) = self.entries.get(&id).map(|en| en.e1.clone()) else {
-                continue;
-            };
-            let scope_end = self.confirm_time(&e1);
-            let output = self.output_of(&e1);
-            let entry = self.entries.get_mut(&id).expect("present");
-            Self::try_emit(scope_end, e1.vs(), entry, output, ctx);
-            if ctx.watermark >= scope_end && ctx.watermark > e1.vs() {
-                // No future negator (sync ≥ watermark ≥ scope end) nor a
-                // removal of e1 (sync = e1.Vs < watermark) can arrive.
-                sealed.push(id);
+        // 1. Release from the front of `pending`: the first candidate that
+        //    is neither confirmed nor optimistically releasable ends the
+        //    pass (both conditions are monotone in `Vs`), so the work is
+        //    the number released, in `(Vs, id)` order.
+        let scope = self.scope;
+        while let Some(&(vs, id)) = self.pending.first() {
+            if !may_release(scope, vs, ctx) {
+                break;
             }
+            self.pending.pop_first();
+            let entry = self.entries.get_mut(&id).expect("pending ⊆ entries");
+            Self::emit(scope, entry, ctx);
         }
-        for id in sealed {
-            if let Some(e) = self.entries.remove(&id) {
-                self.entries_by_vs.remove(&(e.e1.vs(), e.e1.id));
-            }
-        }
+        //    Seal the prefix whose scope the watermark covers — final: no
+        //    future negator (sync ≥ watermark ≥ scope end) nor a removal
+        //    of e1 (sync = e1.Vs < watermark) can arrive.
+        let watermark = ctx.watermark;
+        self.drop_candidates_while(|vs| watermark >= scope_end(scope, vs) && watermark > vs);
         // 2. Forget candidates below the memory horizon (weak consistency):
         //    emitted outputs stand unrepaired.
         let horizon = ctx.horizon();
-        if horizon > TimePoint::ZERO {
-            let doomed: Vec<EventId> = self
-                .entries_by_vs
-                .range(..(horizon, EventId(0)))
-                .map(|((_, id), _)| *id)
-                .collect();
-            for id in doomed {
-                if let Some(e) = self.entries.remove(&id) {
-                    self.entries_by_vs.remove(&(e.e1.vs(), e.e1.id));
-                }
-            }
-        }
+        self.drop_candidates_while(|vs| vs < horizon);
         // 3. Purge negators that can no longer affect anything.
         let negator_bound = match self.scope {
             // Future candidates have Vs ≥ watermark; a negator with
@@ -365,6 +413,9 @@ impl OperatorModule for NegationOp {
             for (vs, id) in dead {
                 self.e2s_by_vs.remove(&(vs, id));
                 self.e2s.remove(&id);
+                // Only read when this negator's own removal arrives, which
+                // the purge bound has just ruled out.
+                self.kill_index.remove(&id);
             }
         }
     }
@@ -382,8 +433,8 @@ impl OperatorModule for NegationOp {
 
     fn state_snapshot(&self, out: &mut Vec<u8>) {
         use cedr_durable::Persist;
-        // Entries sorted by candidate ID; the `*_by_vs` indexes are
-        // derived and rebuilt on restore.
+        // Entries sorted by candidate ID; the `*_by_vs` indexes and
+        // `pending` are derived and rebuilt on restore.
         let mut ids: Vec<EventId> = self.entries.keys().copied().collect();
         ids.sort_unstable();
         (ids.len() as u64).encode(out);
@@ -417,12 +468,16 @@ impl OperatorModule for NegationOp {
         use cedr_durable::Persist;
         self.entries.clear();
         self.entries_by_vs.clear();
+        self.pending.clear();
         for _ in 0..u64::decode(r)? {
             let id = EventId::decode(r)?;
             let e1 = Event::decode(r)?;
-            let killers = Vec::<EventId>::decode(r)?.into_iter().collect();
+            let killers: HashSet<EventId> = Vec::<EventId>::decode(r)?.into_iter().collect();
             let emitted = bool::decode(r)?;
             self.entries_by_vs.insert((e1.vs(), id), ());
+            if !emitted && killers.is_empty() {
+                self.pending.insert((e1.vs(), id));
+            }
             self.entries.insert(
                 id,
                 Entry {
@@ -649,6 +704,152 @@ mod tests {
             "removed candidate must be suppressed silently, got {out:?}"
         );
         assert_eq!(s.stats().out_retractions, 0, "strong never repairs");
+    }
+
+    fn keyed_unless_shell(spec: ConsistencySpec) -> OperatorShell {
+        let same_key = Pred::cmp(Scalar::Of(0, 0), CmpOp::Eq, Scalar::Of(1, 0));
+        OperatorShell::new(Box::new(NegationOp::unless(dur(10), same_key)), spec)
+    }
+
+    /// Advance both inputs' guarantee to `to`; the outputs of both pushes.
+    fn cti_both(s: &mut OperatorShell, to: u64, now: u64) -> Vec<Message> {
+        let mut out = s.push(0, Message::Cti(t(to)), now);
+        out.extend(s.push(1, Message::Cti(t(to)), now));
+        out
+    }
+
+    fn inserted_ids(out: &[Message]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|m| m.as_insert())
+            .map(|e| e.id.0)
+            .collect()
+    }
+
+    enum Step {
+        Data(usize, Message),
+        /// Advance both inputs' guarantee.
+        Cti(u64),
+    }
+
+    /// A Strong trace that leaves candidates held in the module across
+    /// several guarantees. Candidate 3 is killed while held and revived by
+    /// its negator's removal; candidate 5's negator stays.
+    fn strong_held_trace() -> Vec<Step> {
+        let candidate = |id, vs, key| Step::Data(0, Message::insert_event(ptp(id, vs, key)));
+        let n12 = ptp(90, 12, "k");
+        vec![
+            candidate(2, 7, "b"),
+            candidate(3, 7, "k"),
+            candidate(1, 5, "a"),
+            candidate(4, 9, "c"),
+            candidate(5, 9, "z"),
+            Step::Cti(10), // all five delivered, none confirmed
+            Step::Data(1, Message::insert_event(ptp(91, 11, "z"))),
+            Step::Data(1, Message::insert_event(n12.clone())),
+            Step::Data(1, Message::Retract(Retraction::new(n12, t(12)))),
+            Step::Cti(13), // negators (and the removal) delivered
+            Step::Cti(15), // confirms candidate 1
+            Step::Cti(17), // confirms 2 and the revived 3, in id order
+            Step::Cti(18), // confirms nothing
+            Step::Cti(30), // confirms 4; 5 stays negated
+        ]
+    }
+
+    /// Play `steps`; the IDs each step inserted. Strong never retracts.
+    fn play(s: &mut OperatorShell, steps: &[Step]) -> Vec<Vec<u64>> {
+        steps
+            .iter()
+            .enumerate()
+            .map(|(now, step)| {
+                let out = match step {
+                    Step::Data(input, m) => s.push(*input, m.clone(), now as u64),
+                    Step::Cti(to) => cti_both(s, *to, now as u64),
+                };
+                assert!(out.iter().all(|m| m.as_retract().is_none()));
+                inserted_ids(&out)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn strong_releases_held_candidates_in_vs_id_order_as_guarantees_arrive() {
+        let mut s = keyed_unless_shell(ConsistencySpec::strong());
+        let released: Vec<Vec<u64>> = play(&mut s, &strong_held_trace())
+            .into_iter()
+            .filter(|ids| !ids.is_empty())
+            .collect();
+        assert_eq!(released, vec![vec![1], vec![2, 3], vec![4]]);
+        assert_eq!(s.stats().out_retractions, 0, "strong never repairs");
+        assert_eq!(s.module().state_size(), 0, "everything sealed");
+    }
+
+    #[test]
+    fn finite_blocking_releases_held_candidates_as_the_stream_advances() {
+        // B = 4: a candidate delivered early (covered by a CTI) is held in
+        // the module until the stream has advanced 4 past its Vs.
+        let spec = ConsistencySpec::custom(dur(4), Duration::INFINITE);
+        let mut s = keyed_unless_shell(spec);
+        for (now, e) in [ptp(2, 7, "k"), ptp(3, 8, "c"), ptp(1, 6, "a")]
+            .into_iter()
+            .enumerate()
+        {
+            s.push(0, Message::insert_event(e), now as u64);
+        }
+        assert_eq!(inserted_ids(&cti_both(&mut s, 9, 3)), Vec::<u64>::new());
+        // A negator arrival moves the optimist's clock to 10 = 6 + 4; the
+        // negator itself is still aligned, so candidate 2 is not killed yet.
+        let n = ptp(90, 10, "k");
+        let out = s.push(1, Message::insert_event(n.clone()), 4);
+        assert_eq!(inserted_ids(&out), vec![1]);
+        assert!(s
+            .push(1, Message::Retract(Retraction::new(n, t(10))), 5)
+            .iter()
+            .all(|m| !m.is_data()));
+        // The clock reaches 11 = 7 + 4 as the negator and its removal are
+        // delivered: candidate 2 is killed while held, then revived into an
+        // immediate release.
+        assert_eq!(inserted_ids(&cti_both(&mut s, 11, 6)), vec![2]);
+        assert_eq!(inserted_ids(&cti_both(&mut s, 12, 7)), vec![3]);
+        assert_eq!(s.stats().out_retractions, 0);
+    }
+
+    #[test]
+    fn restore_while_candidates_are_held_continues_identically() {
+        let trace = strong_held_trace();
+        // Cut after the negators are delivered: 1–4 held, 5 killed.
+        let (before, after) = trace.split_at(10);
+        let mut unfailed = keyed_unless_shell(ConsistencySpec::strong());
+        assert!(play(&mut unfailed, before).iter().all(|ids| ids.is_empty()));
+        let mut image = Vec::new();
+        unfailed.state_snapshot(&mut image).expect("quiescent");
+        let mut restored = keyed_unless_shell(ConsistencySpec::strong());
+        restored
+            .state_restore(&mut cedr_durable::Reader::new(&image))
+            .expect("restore");
+        let want = play(&mut unfailed, after);
+        assert_eq!(want, vec![vec![1], vec![2, 3], vec![], vec![4]]);
+        assert_eq!(play(&mut restored, after), want);
+        assert_eq!(restored.module().state_size(), 0);
+    }
+
+    #[test]
+    fn purged_negators_leave_nothing_behind_in_the_image() {
+        // In-order UNLESS rounds: candidate, its negator, then a guarantee
+        // that seals the candidate and purges the negator. Live state is
+        // constant, so the module image must be too.
+        let image_len_after = |rounds: u64| {
+            let mut s = unless_shell(ConsistencySpec::middle());
+            for i in 0..rounds {
+                let base = i * 20;
+                s.push(0, Message::insert_event(pt(2 * i, base + 1)), i);
+                s.push(1, Message::insert_event(pt(2 * i + 1, base + 5)), i);
+                cti_both(&mut s, base + 20, i);
+            }
+            let mut image = Vec::new();
+            s.module().state_snapshot(&mut image);
+            (s.module().state_size(), image.len())
+        };
+        assert_eq!(image_len_after(1000), image_len_after(4000));
     }
 
     #[test]

@@ -1,17 +1,40 @@
 //! Physical sequencing operators: SEQUENCE and ATLEAST (with ALL/ANY as
 //! planner-level sugar, per the paper's table).
 //!
-//! `SequenceOp` keeps per-slot event state sorted by occurrence (`Vs`) and,
-//! under the default Each/Reuse SC mode, enumerates exactly the *new*
-//! matches each arrival completes — the incremental fast path. Restrictive
-//! SC modes (First/MostRecent selection, Consume) switch the operator to a
+//! `SequenceOp` keeps per-slot event state in a `(Vs, id)`-ordered index.
+//! Restrictive SC modes (First/MostRecent selection, Consume) use a
 //! recompute-and-diff strategy against the denotational match set, because
 //! selection and consumption are globally order-dependent; the cost of this
 //! is measured by the `sc_modes` ablation bench.
 //!
+//! **The incremental fast path** (the default Each/Reuse SC mode)
+//! enumerates exactly the *new* matches each arrival completes, at a cost
+//! that follows the matches rather than the state. With the arrival fixed
+//! in its slot, every other slot is *seeked* — `BTreeMap::range` from just
+//! after the previous contributor's `Vs`, or, for the opening slot, from
+//! `fixed.Vs − w` (nothing earlier can have the arrival within its scope)
+//! — and left at the first entry past the scope or, before the fixed
+//! slot, at the arrival's own `Vs`. The walk is over borrowed events; the
+//! injected predicate is evaluated on the complete tuple *before* the
+//! output is composed, so rejected tuples cost no allocation. The
+//! invariant everything downstream relies on: **enumeration is
+//! depth-first with each slot visited in ascending `(Vs, id)`**, so the
+//! outputs of one arrival — and with them the emitted tape, the
+//! `by_contrib` lists and the checkpoint bytes — are a pure function of
+//! the slot contents, never of arrival or hash order.
+//!
 //! Out-of-order arrivals are handled structurally: a late contributor
 //! simply completes matches when it arrives; a contributor's full removal
-//! retracts every output it fed (`by_contrib` index).
+//! retracts every output it fed (`by_contrib` index, filled from each
+//! output's lineage).
+//!
+//! **State and flushing.** A slot entry can only join a *new* match
+//! together with a future arrival (`Vs ≥ watermark`), which the scope
+//! bounds to `Vs ≥ watermark − w`; `on_advance` pops each slot's prefix
+//! below that bound (or below the memory horizon under weak consistency).
+//! An emitted match is forgotten when its last contributor — the one
+//! with the greatest `Vs` — is purged: by then no contributor's removal
+//! can arrive any more.
 //!
 //! **Batch-native delivery.** Under restrictive SC modes (and always for
 //! [`AtLeastOp`]) a delivery run is admitted into the slot index whole and
@@ -31,6 +54,7 @@ use cedr_algebra::EventSet;
 use cedr_streams::{Message, Retraction};
 use cedr_temporal::{Duration, Event, EventId, Interval, Lineage, Payload, TimePoint};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 
 type SlotMap = BTreeMap<(TimePoint, EventId), Event>;
 
@@ -150,70 +174,62 @@ impl SequenceOp {
         self.slots.len()
     }
 
-    /// Fast path: enumerate all slot-ordered tuples that include `fixed` at
-    /// slot `fixed_slot` and satisfy the strict-Vs-order + scope
-    /// constraints.
-    fn matches_with(&self, fixed_slot: usize, fixed: &Event) -> Vec<Vec<Event>> {
+    /// Fast path: the composed outputs of every slot-ordered tuple that
+    /// includes `fixed` at slot `fixed_slot`, satisfies the strict-Vs-order
+    /// and scope constraints, and passes the predicate — in depth-first
+    /// order, each slot visited in ascending `(Vs, id)`.
+    fn matches_with(&self, fixed_slot: usize, fixed: &Event) -> Vec<Event> {
         let mut out = Vec::new();
-        let mut stack: Vec<Event> = Vec::with_capacity(self.k());
-        self.recurse(0, fixed_slot, fixed, &mut stack, &mut out);
+        let mut stack: Vec<&Event> = Vec::with_capacity(self.k());
+        self.recurse(fixed_slot, fixed, &mut stack, &mut out);
         out
     }
 
-    fn recurse(
-        &self,
-        depth: usize,
+    fn recurse<'a>(
+        &'a self,
         fixed_slot: usize,
-        fixed: &Event,
-        stack: &mut Vec<Event>,
-        out: &mut Vec<Vec<Event>>,
+        fixed: &'a Event,
+        stack: &mut Vec<&'a Event>,
+        out: &mut Vec<Event>,
     ) {
+        let depth = stack.len();
         if depth == self.k() {
-            out.push(stack.clone());
+            // Predicate injection: only qualifying tuples are composed.
+            if self.pred.eval_tuple(stack) {
+                out.push(compose(stack, self.w));
+            }
             return;
         }
         let prev_vs = stack.last().map(|e| e.vs());
-        let first_vs = stack.first().map(|e| e.vs());
-        let deadline = first_vs.map(|v| v + self.w).unwrap_or(TimePoint::INFINITY);
+        let deadline = stack
+            .first()
+            .map_or(TimePoint::INFINITY, |first| first.vs() + self.w);
         if depth == fixed_slot {
             let v = fixed.vs();
-            if let Some(p) = prev_vs {
-                if v <= p {
-                    return;
-                }
-            }
-            if v > deadline {
+            if prev_vs.is_some_and(|p| v <= p) || v > deadline {
                 return;
             }
-            stack.push(fixed.clone());
-            self.recurse(depth + 1, fixed_slot, fixed, stack, out);
+            stack.push(fixed);
+            self.recurse(fixed_slot, fixed, stack, out);
             stack.pop();
             return;
         }
-        // Candidates strictly after prev_vs and within the scope; also, if
-        // the fixed slot is still ahead, candidates must end up before it.
-        let lower = prev_vs;
-        let upper_fixed = if depth < fixed_slot {
-            Some(fixed.vs())
-        } else {
-            None
+        // Seek instead of scanning from the front: strictly after the
+        // previous contributor, or — for the opening slot, which the
+        // still-ahead fixed contributor must fall within `w` of — from
+        // `fixed.Vs − w`.
+        let lower = match prev_vs {
+            Some(p) => Bound::Excluded((p, EventId(u64::MAX))),
+            None => Bound::Included((fixed.vs() - self.w, EventId(0))),
         };
-        for ((vs, _), e) in self.slots[depth].iter() {
-            if let Some(p) = lower {
-                if *vs <= p {
-                    continue;
-                }
-            }
-            if *vs > deadline {
+        for (&(vs, _), e) in self.slots[depth].range((lower, Bound::Unbounded)) {
+            // Within the scope and, while the fixed slot is still ahead,
+            // strictly before it.
+            if vs > deadline || (depth < fixed_slot && vs >= fixed.vs()) {
                 break;
             }
-            if let Some(u) = upper_fixed {
-                if *vs >= u {
-                    break;
-                }
-            }
-            stack.push(e.clone());
-            self.recurse(depth + 1, fixed_slot, fixed, stack, out);
+            stack.push(e);
+            self.recurse(fixed_slot, fixed, stack, out);
             stack.pop();
         }
     }
@@ -244,17 +260,13 @@ impl OperatorModule for SequenceOp {
             self.recompute(ctx);
             return;
         }
-        for tuple in self.matches_with(input, event) {
-            let refs: Vec<&Event> = tuple.iter().collect();
-            if !self.pred.eval_tuple(&refs) {
-                continue;
-            }
-            let out = compose(&refs, self.w);
+        for out in self.matches_with(input, event) {
             if self.emitted.contains_key(&out.id) {
                 continue;
             }
-            for e in &tuple {
-                self.by_contrib.entry(e.id).or_default().push(out.id);
+            // The lineage is the contributor tuple, in slot order.
+            for &c in out.lineage.0.iter() {
+                self.by_contrib.entry(c).or_default().push(out.id);
             }
             self.emitted.insert(out.id, out.clone());
             ctx.out.insert(out);
@@ -651,6 +663,120 @@ mod tests {
             m.lineage.0.to_vec(),
             vec![EventId(1), EventId(2), EventId(3)]
         );
+    }
+
+    /// Contributor IDs of every inserted output, in emission order.
+    fn lineages(out: &[Message]) -> Vec<Vec<u64>> {
+        out.iter()
+            .filter_map(|m| m.as_insert())
+            .map(|e| e.lineage.0.iter().map(|id| id.0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn late_middle_and_first_enumerate_depth_first_in_vs_id_order() {
+        // Slot 0's key must equal slot 2's: the predicate rejects tuples
+        // the order and scope constraints alone would admit.
+        let pred = Pred::cmp(Scalar::Of(0, 0), CmpOp::Eq, Scalar::Of(2, 0));
+        let mut s = OperatorShell::new(
+            Box::new(SequenceOp::new(3, dur(100), pred.clone())),
+            ConsistencySpec::middle(),
+        );
+        // Arrival order is deliberately not (Vs, id) order; 31 and 33
+        // share a Vs, so only the ID orders them.
+        let last = vec![ptp(33, 20, "a"), ptp(32, 22, "b"), ptp(31, 20, "a")];
+        let mut first = vec![ptp(13, 3, "a"), ptp(11, 1, "a"), ptp(12, 2, "b")];
+        let middle = vec![ptp(21, 10, "x"), ptp(22, 12, "x")];
+        let mut now = 0;
+        for (slot, events) in [(2, &last), (0, &first)] {
+            for e in events {
+                let out = s.push(slot, Message::insert_event(e.clone()), now);
+                assert!(out.is_empty(), "no middle contributor yet");
+                now += 1;
+            }
+        }
+        let mut emitted = Vec::new();
+        // The middle contributor arrives last.
+        let out = s.push(1, Message::insert_event(middle[0].clone()), now);
+        assert_eq!(
+            lineages(&out),
+            vec![
+                vec![11, 21, 31],
+                vec![11, 21, 33],
+                vec![12, 21, 32],
+                vec![13, 21, 31],
+                vec![13, 21, 33],
+            ]
+        );
+        emitted.extend(out);
+        let out = s.push(1, Message::insert_event(middle[1].clone()), now + 1);
+        assert_eq!(
+            lineages(&out),
+            vec![
+                vec![11, 22, 31],
+                vec![11, 22, 33],
+                vec![12, 22, 32],
+                vec![13, 22, 31],
+                vec![13, 22, 33],
+            ]
+        );
+        emitted.extend(out);
+        // The first contributor arrives last: before every middle, then
+        // between the two middles.
+        for (late, want) in [
+            (ptp(14, 0, "b"), vec![vec![14, 21, 32], vec![14, 22, 32]]),
+            (ptp(15, 11, "a"), vec![vec![15, 22, 31], vec![15, 22, 33]]),
+        ] {
+            now += 2;
+            let out = s.push(0, Message::insert_event(late.clone()), now);
+            assert_eq!(lineages(&out), want);
+            emitted.extend(out);
+            first.push(late);
+        }
+        let expected = cedr_algebra::pattern::sequence(&[first, middle, last], dur(100), &pred);
+        let got: HashSet<EventId> = emitted
+            .iter()
+            .filter_map(|m| m.as_insert().map(|e| e.id))
+            .collect();
+        let want: HashSet<EventId> = expected.iter().map(|e| e.id).collect();
+        assert_eq!(got.len(), 14);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn order_is_strict_and_the_scope_closed_at_both_seek_boundaries() {
+        // A middle candidate at exactly the previous contributor's Vs is
+        // not "after" it.
+        let mut s = OperatorShell::new(
+            Box::new(SequenceOp::new(3, dur(10), Pred::True)),
+            ConsistencySpec::middle(),
+        );
+        s.push(0, Message::insert_event(pt(1, 5)), 0);
+        s.push(1, Message::insert_event(pt(20, 5)), 1);
+        s.push(1, Message::insert_event(pt(21, 6)), 2);
+        let out = s.push(2, Message::insert_event(pt(30, 8)), 3);
+        assert_eq!(lineages(&out), vec![vec![1, 21, 30]]);
+
+        // `last.Vs − first.Vs = w` exactly is a match with a vacuous
+        // lifetime `[last.Vs, first.Vs + w)`: recorded as operator state,
+        // never inserted on the tape. One tick further is no match.
+        let mut s = OperatorShell::new(
+            Box::new(SequenceOp::new(2, dur(10), Pred::True)),
+            ConsistencySpec::middle(),
+        );
+        s.push(0, Message::insert_event(pt(1, 5)), 0);
+        s.push(0, Message::insert_event(pt(2, 4)), 1);
+        // Seeking the opening slot from `fixed.Vs − w` keeps 5, drops 4.
+        let out = s.push(1, Message::insert_event(pt(3, 15)), 2);
+        assert!(out.iter().all(|m| !m.is_data()));
+        assert_eq!(s.module().state_size(), 3 + 1, "one boundary match");
+        // The same boundary reached from a late first contributor.
+        let out = s.push(0, Message::insert_event(pt(4, 5)), 3);
+        assert!(out.iter().all(|m| !m.is_data()));
+        assert_eq!(s.module().state_size(), 4 + 2);
+        let out = s.push(1, Message::insert_event(pt(5, 16)), 4);
+        assert!(out.iter().all(|m| !m.is_data()));
+        assert_eq!(s.module().state_size(), 5 + 2, "16 − 5 > 10");
     }
 
     #[test]

@@ -188,6 +188,8 @@ mod tests {
         assert_eq!(partial.retracted_event().interval, iv(3, 6));
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn lengthening_retractions_rejected_in_debug() {

@@ -60,11 +60,3 @@ pub fn from_table(table: &UniTemporalTable) -> EventSet {
         .map(|r| Event::primitive(r.id, r.interval, r.payload.clone()))
         .collect()
 }
-
-/// Sort events deterministically (by interval, then payload, then id) so
-/// denotational outputs are directly comparable, dropping empty lifetimes.
-pub fn normalize(mut events: EventSet) -> EventSet {
-    events.retain(|e| !e.interval.is_empty());
-    events.sort_by(|a, b| (a.interval, &a.payload, a.id).cmp(&(b.interval, &b.payload, b.id)));
-    events
-}

@@ -9,7 +9,7 @@
 use crate::expr::{Pred, Scalar};
 use crate::idgen::{idgen, idgen2};
 use crate::EventSet;
-use cedr_temporal::{Duration, Event, Interval, Lineage, Payload, TimePoint, Value};
+use cedr_temporal::{Event, Interval, Lineage, Payload, TimePoint, Value};
 use std::collections::BTreeMap;
 
 /// Definition 7 — SQL projection `π_f(S)`:
@@ -277,11 +277,6 @@ pub fn subtract_cover(pos: &[Interval], neg: &[Interval]) -> Vec<Interval> {
         }
     }
     out
-}
-
-/// One tick past `t`, used by snapshot probes in tests.
-pub fn tick_after(t: TimePoint) -> TimePoint {
-    t + Duration(1)
 }
 
 #[cfg(test)]

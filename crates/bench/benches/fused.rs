@@ -279,7 +279,7 @@ fn write_summary(msgs: &MessageBatch, wide: &MessageBatch) {
 
     let unfused = run(msgs, false);
     let fused = run(msgs, true);
-    let mut fused_stages = 0usize;
+    let mut fused_stages = 0u64;
     for q in 0..N_QUERIES {
         let q = QueryId(q);
         assert_eq!(

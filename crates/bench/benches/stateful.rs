@@ -198,7 +198,7 @@ fn write_summary(agg_tape: &MessageBatch, l_tape: &MessageBatch, r_tape: &Messag
         "probe memoisation changed the join's net content"
     );
     let refreshes =
-        |e: &Engine| -> usize { e.node_stats(q).iter().map(|(_, s)| s.group_refreshes).sum() };
+        |e: &Engine| -> u64 { e.node_stats(q).iter().map(|(_, s)| s.group_refreshes).sum() };
     let (r_pm, r_bn) = (refreshes(&agg_pm), refreshes(&agg_bn));
     assert!(
         r_bn * 4 <= r_pm,

@@ -44,11 +44,6 @@ impl PlanBuilder {
         }
     }
 
-    /// Wrap an existing logical plan.
-    pub fn from_op(op: LogicalOp) -> Self {
-        PlanBuilder { op }
-    }
-
     /// σ — filter on a payload predicate.
     pub fn select(self, pred: Pred) -> Self {
         PlanBuilder {

@@ -1,10 +1,12 @@
 //! [`Engine::metrics`] — the unified [`MetricsSnapshot`] assembly.
 //!
 //! This module only *reads*: it converts the engine's live counters
-//! (per-query collector stats, per-node operator stats, per-shard
-//! ingress stats, channel pump state, checkpoint accounting) and the
+//! (per-query collector stats, per-shard ingress stats, channel pump
+//! state, checkpoint accounting) and the
 //! [`ObsHub`](cedr_obs::ObsHub)'s histograms/trace ring into the plain
-//! [`cedr_obs`] snapshot types. Rendering lives in `cedr_obs` (see
+//! [`cedr_obs`] snapshot types. Per-node operator stats need no
+//! conversion: the shells count straight into [`cedr_obs::OpStats`].
+//! Rendering lives in `cedr_obs` (see
 //! [`MetricsSnapshot::render_prometheus`] /
 //! [`MetricsSnapshot::render_report`]); the determinism taxonomy the
 //! snapshot obeys is documented in [`cedr_obs::snapshot`] and in the
@@ -13,35 +15,9 @@
 use crate::engine::Engine;
 use cedr_obs::{
     ChannelCounters, CounterSnapshot, IngressCounters, MetricsSnapshot, NodeCounters, ObsClock,
-    OpCounters, QueryCounters, TraceEvent,
+    QueryCounters, TraceEvent,
 };
-use cedr_runtime::OpStats;
 use std::sync::Arc;
-
-/// Convert the runtime's per-operator stats into the dependency-free
-/// mirror type (`cedr-obs` sits below `cedr-runtime`, so the mirror
-/// cannot be avoided; the fields match one for one).
-fn op_counters(s: &OpStats) -> OpCounters {
-    OpCounters {
-        arrivals: s.arrivals as u64,
-        released: s.released as u64,
-        forgotten: s.forgotten as u64,
-        held_peak: s.held_peak as u64,
-        blocked_ticks: s.blocked_ticks,
-        blocked_messages: s.blocked_messages as u64,
-        state_peak: s.state_peak as u64,
-        batches: s.batches as u64,
-        delivered: s.delivered as u64,
-        batch_peak: s.batch_peak as u64,
-        group_refreshes: s.group_refreshes as u64,
-        probe_batches: s.probe_batches as u64,
-        fused_stages: s.fused_stages as u64,
-        compiled_kernel_runs: s.compiled_kernel_runs as u64,
-        out_inserts: s.out_inserts as u64,
-        out_retractions: s.out_retractions as u64,
-        out_ctis: s.out_ctis as u64,
-    }
-}
 
 fn ingress_counters(s: &crate::ingest::IngressStats) -> IngressCounters {
     IngressCounters {
@@ -84,11 +60,11 @@ impl Engine {
                     data_messages: st.data_messages as u64,
                     deltas_logged: col.delta_log().len() as u64,
                     output_cti: col.max_cti().map(|t| t.0),
-                    total: op_counters(&df.total_stats()),
+                    total: df.total_stats(),
                     nodes: (0..df.node_count())
                         .map(|n| NodeCounters {
                             name: format!("{n}:{}", df.node_name(n)),
-                            stats: op_counters(df.stats(n)),
+                            stats: df.stats(n).clone(),
                         })
                         .collect(),
                     subscriptions: Vec::new(),
@@ -216,7 +192,7 @@ mod tests {
         assert!(!qc.nodes.is_empty(), "per-node counters present");
         assert_eq!(
             qc.total.out_inserts,
-            e.stats(q).out_inserts as u64,
+            e.stats(q).out_inserts,
             "snapshot totals mirror Engine::stats"
         );
         assert_eq!(snap.counters.shards.len(), e.shard_count());

@@ -1,5 +1,6 @@
 //! [`Persist`] implementations for the temporal and stream substrate types
-//! that appear inside engine checkpoints.
+//! (and the per-operator [`OpStats`] counters) that appear inside engine
+//! checkpoints.
 //!
 //! Two invariants govern every impl here:
 //!
@@ -13,6 +14,7 @@
 //!   sentinel that legitimately appears in open lifetimes).
 
 use crate::codec::{CodecError, Persist, Reader};
+use cedr_obs::OpStats;
 use cedr_streams::batch::MessageBatch;
 use cedr_streams::delta::OutputDelta;
 use cedr_streams::message::{Message, Retraction};
@@ -274,6 +276,50 @@ impl<T: Persist> Persist for ResequencerParts<T> {
     }
 }
 
+/// 17 little-endian `u64`s in declaration order.
+impl Persist for OpStats {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.arrivals.encode(out);
+        self.released.encode(out);
+        self.forgotten.encode(out);
+        self.held_peak.encode(out);
+        self.blocked_ticks.encode(out);
+        self.blocked_messages.encode(out);
+        self.state_peak.encode(out);
+        self.batches.encode(out);
+        self.delivered.encode(out);
+        self.batch_peak.encode(out);
+        self.group_refreshes.encode(out);
+        self.probe_batches.encode(out);
+        self.fused_stages.encode(out);
+        self.compiled_kernel_runs.encode(out);
+        self.out_inserts.encode(out);
+        self.out_retractions.encode(out);
+        self.out_ctis.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(OpStats {
+            arrivals: u64::decode(r)?,
+            released: u64::decode(r)?,
+            forgotten: u64::decode(r)?,
+            held_peak: u64::decode(r)?,
+            blocked_ticks: u64::decode(r)?,
+            blocked_messages: u64::decode(r)?,
+            state_peak: u64::decode(r)?,
+            batches: u64::decode(r)?,
+            delivered: u64::decode(r)?,
+            batch_peak: u64::decode(r)?,
+            group_refreshes: u64::decode(r)?,
+            probe_batches: u64::decode(r)?,
+            fused_stages: u64::decode(r)?,
+            compiled_kernel_runs: u64::decode(r)?,
+            out_inserts: u64::decode(r)?,
+            out_retractions: u64::decode(r)?,
+            out_ctis: u64::decode(r)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,6 +427,34 @@ mod tests {
         );
         assert_eq!(rebuilt.next_round(), RoundStatus::Ready(vec![(2, 21)]));
         assert_eq!(rebuilt.next_round(), RoundStatus::Idle);
+    }
+
+    #[test]
+    fn op_stats_wire_layout_is_17_le_u64s_in_field_order() {
+        // Checkpoint images embed this layout; a reorder, a resize or a
+        // new field must bump `FORMAT_VERSION` instead of landing silently.
+        let s = OpStats {
+            arrivals: 1,
+            released: 2,
+            forgotten: 3,
+            held_peak: 4,
+            blocked_ticks: 5,
+            blocked_messages: 6,
+            state_peak: 7,
+            batches: 8,
+            delivered: 9,
+            batch_peak: 10,
+            group_refreshes: 11,
+            probe_batches: 12,
+            fused_stages: 13,
+            compiled_kernel_runs: 14,
+            out_inserts: 15,
+            out_retractions: 16,
+            out_ctis: 17,
+        };
+        let expected: Vec<u8> = (1..=17u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(to_bytes(&s), expected);
+        round_trip(s);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!
 //! The engine-level `Engine::checkpoint` / `Engine::restore` entry points
 //! live in `cedr-core`; per-operator state hooks live in `cedr-runtime`.
-//! This crate is deliberately low in the dependency order (temporal +
-//! streams only) so both can build on it.
+//! This crate is deliberately low in the dependency order (temporal,
+//! streams and the dependency-free `cedr-obs`, whose `OpStats` counters
+//! travel in every operator's image) so both can build on it.
 
 pub mod codec;
 pub mod image;

@@ -8,12 +8,13 @@
 //! fixed-width dashboard for examples and debugging sessions.
 
 use crate::hist::{bucket_bound, Histogram};
-use crate::snapshot::{MetricsSnapshot, OpCounters};
+use crate::snapshot::MetricsSnapshot;
+use crate::stats::OpStats;
 use std::fmt::Write as _;
 
 /// One operator metric column: exposition name suffix, whether the value
 /// is a monotone counter (vs a gauge/peak), and the accessor.
-type NodeColumn = (&'static str, bool, fn(&OpCounters) -> u64);
+type NodeColumn = (&'static str, bool, fn(&OpStats) -> u64);
 
 /// Per-node operator metric columns.
 const NODE_COLUMNS: &[NodeColumn] = &[

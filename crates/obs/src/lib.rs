@@ -14,6 +14,9 @@
 //!   [`TraceEvent`]s; disabled rings cost one branch per hook.
 //! - [`hub`] — [`ObsHub`], the shared handle threaded through the engine,
 //!   shard workers and channel producers.
+//! - [`stats`] — [`OpStats`], the per-operator counters every layer above
+//!   shares: the runtime's shells fill them, checkpoints persist them,
+//!   snapshots report them.
 //! - [`snapshot`] — the typed [`MetricsSnapshot`] returned by
 //!   `Engine::metrics()`, split into **counter-class** fields (exact,
 //!   replayable) and **timing-class** fields (wall-clock, behind the
@@ -25,14 +28,15 @@
 //!   tests ([`validate_exposition`]).
 //!
 //! The crate deliberately has **no dependencies** (not even on the other
-//! CEDR crates) so it can sit below `cedr-runtime`: runtime and core
-//! convert their own stats structs into the mirror types defined here.
+//! CEDR crates) so it can sit below `cedr-durable` and `cedr-runtime`:
+//! a counter struct defined here is the one every crate above names.
 
 pub mod clock;
 pub mod expo;
 pub mod hist;
 pub mod hub;
 pub mod snapshot;
+pub mod stats;
 pub mod trace;
 
 pub use clock::{ManualClock, MonotonicClock, ObsClock};
@@ -41,7 +45,8 @@ pub use hist::Histogram;
 pub use hub::{ObsHub, Timings};
 pub use snapshot::{
     ChannelCounters, CheckpointCounters, CounterSnapshot, IngressCounters, MetricsSnapshot,
-    NodeCounters, OpCounters, QueryCounters, SemanticChannel, SemanticCounters, SemanticQuery,
-    SubscriptionLag, TraceStats,
+    NodeCounters, QueryCounters, SemanticChannel, SemanticCounters, SemanticQuery, SubscriptionLag,
+    TraceStats,
 };
+pub use stats::OpStats;
 pub use trace::{TraceEvent, TraceRing};

@@ -1,11 +1,11 @@
 //! The typed metrics snapshot returned by `Engine::metrics()`.
 //!
 //! One [`MetricsSnapshot`] unifies everything the engine can observe:
-//! per-query / per-node operator counters, per-shard ingress counters,
-//! channel pump and resequencer state, checkpoint accounting, the
-//! latency histograms and trace-ring occupancy. The struct is plain data
-//! — no `Persist`, no engine references — so callers can diff, store or
-//! render it freely.
+//! per-query / per-node operator counters (the shells' own [`OpStats`],
+//! cloned, not converted), per-shard ingress counters, channel pump and
+//! resequencer state, checkpoint accounting, the latency histograms and
+//! trace-ring occupancy. The struct is plain data — no engine references
+//! — so callers can diff, store or render it freely.
 //!
 //! # Determinism classes
 //!
@@ -27,36 +27,13 @@
 //!    equality.
 
 use crate::hub::Timings;
-
-/// Mirror of the runtime's per-operator `OpStats` (this crate sits below
-/// `cedr-runtime`, so it cannot name that type). Field names and
-/// meanings match one for one; `cedr-core` performs the conversion.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OpCounters {
-    pub arrivals: u64,
-    pub released: u64,
-    pub forgotten: u64,
-    pub held_peak: u64,
-    pub blocked_ticks: u64,
-    pub blocked_messages: u64,
-    pub state_peak: u64,
-    pub batches: u64,
-    pub delivered: u64,
-    pub batch_peak: u64,
-    pub group_refreshes: u64,
-    pub probe_batches: u64,
-    pub fused_stages: u64,
-    pub compiled_kernel_runs: u64,
-    pub out_inserts: u64,
-    pub out_retractions: u64,
-    pub out_ctis: u64,
-}
+use crate::stats::OpStats;
 
 /// One dataflow node's counters, labelled with its graph name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     pub name: String,
-    pub stats: OpCounters,
+    pub stats: OpStats,
 }
 
 /// A consumer cursor observed against a query's delta log.
@@ -88,8 +65,9 @@ pub struct QueryCounters {
     pub deltas_logged: u64,
     /// Highest CTI observed on the output (`None` before the first CTI).
     pub output_cti: Option<u64>,
-    /// Operator counters summed over the whole dataflow.
-    pub total: OpCounters,
+    /// Operator counters folded over the whole dataflow
+    /// ([`OpStats::absorb`]).
+    pub total: OpStats,
     /// Per-node operator counters in topological order.
     pub nodes: Vec<NodeCounters>,
     /// Consumer cursors registered via

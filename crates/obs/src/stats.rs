@@ -4,113 +4,73 @@
 //! residency), **state size** (operational-module + buffer footprint) and
 //! **output size** (inserts + retractions emitted). CEDR time is measured
 //! in arrival ticks (one per delivered message).
-
-use serde::{Deserialize, Serialize};
+//!
+//! [`OpStats`] is defined here, at the bottom of the crate graph, so the
+//! shell that counts (`cedr-runtime`), the checkpoint that persists
+//! (`cedr-durable`) and the snapshot that reports ([`crate::snapshot`])
+//! all name one struct.
 
 /// Counters and high-water marks for one operator shell.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// Data messages that arrived at the shell.
-    pub arrivals: usize,
+    pub arrivals: u64,
     /// Data messages released to the operational module.
-    pub released: usize,
+    pub released: u64,
     /// Messages dropped because they fell below the memory horizon
     /// (weak-consistency forgetting).
-    pub forgotten: usize,
+    pub forgotten: u64,
     /// Peak number of messages simultaneously held in the alignment buffer.
-    pub held_peak: usize,
+    pub held_peak: u64,
     /// Total blocking: Σ over released messages of (release − arrival)
     /// in CEDR ticks.
     pub blocked_ticks: u64,
     /// Number of messages that were held at all (blocked ≥ 1 tick).
-    pub blocked_messages: usize,
+    pub blocked_messages: u64,
     /// Peak operational-module state size (events/entries retained).
-    pub state_peak: usize,
+    pub state_peak: u64,
     /// Module delivery runs (`on_batch` invocations with ≥ 1 message).
-    pub batches: usize,
+    pub batches: u64,
     /// Messages handed to the module inside delivery runs (includes
     /// replayed orphan retractions; excludes parked ones — `released`
     /// counts monitor admissions instead, a different population).
-    pub delivered: usize,
+    pub delivered: u64,
     /// Largest single delivery run handed to the module.
-    pub batch_peak: usize,
+    pub batch_peak: u64,
     /// Group-aggregate refresh computations (recompute-and-diff of one
     /// group's step function). The batch-native group-aggregate performs
     /// one refresh per *touched group per run*, so this divided by
     /// `batches` is the stateful amortisation factor — per-message
     /// delivery pays one refresh per state-changing message instead.
-    pub group_refreshes: usize,
+    pub group_refreshes: u64,
     /// Join delivery runs probed batch-natively (≥ 2 messages sharing one
     /// frozen candidate-index snapshot: one lookup per distinct key per
     /// run instead of one per message).
-    pub probe_batches: usize,
+    pub probe_batches: u64,
     /// Stateless stages collapsed into this operator by the plan-time
     /// fusion pass (0 for an ordinary, unfused operator; ≥ 2 for a
     /// `FusedStatelessOp`). Summed by [`OpStats::absorb`], so a positive
     /// plan total proves fusion actually engaged rather than silently
     /// falling back to the unfused graph.
-    pub fused_stages: usize,
+    pub fused_stages: u64,
     /// Compiled-kernel sweeps run by a fused node: one per select stage
     /// per delivery run whose selection bitmap was computed over payload
     /// columns (plus the sweeps of the projection gather, counted at the
     /// run that swept them). Summed by [`OpStats::absorb`] like
     /// `fused_stages`, so a positive plan total proves the compiled fast
     /// path is live rather than silently interpreting.
-    pub compiled_kernel_runs: usize,
+    pub compiled_kernel_runs: u64,
     /// Output inserts emitted.
-    pub out_inserts: usize,
+    pub out_inserts: u64,
     /// Output retractions emitted.
-    pub out_retractions: usize,
+    pub out_retractions: u64,
     /// Output CTIs emitted.
-    pub out_ctis: usize,
-}
-
-impl cedr_durable::Persist for OpStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.arrivals.encode(out);
-        self.released.encode(out);
-        self.forgotten.encode(out);
-        self.held_peak.encode(out);
-        self.blocked_ticks.encode(out);
-        self.blocked_messages.encode(out);
-        self.state_peak.encode(out);
-        self.batches.encode(out);
-        self.delivered.encode(out);
-        self.batch_peak.encode(out);
-        self.group_refreshes.encode(out);
-        self.probe_batches.encode(out);
-        self.fused_stages.encode(out);
-        self.compiled_kernel_runs.encode(out);
-        self.out_inserts.encode(out);
-        self.out_retractions.encode(out);
-        self.out_ctis.encode(out);
-    }
-    fn decode(r: &mut cedr_durable::Reader<'_>) -> Result<Self, cedr_durable::CodecError> {
-        Ok(OpStats {
-            arrivals: usize::decode(r)?,
-            released: usize::decode(r)?,
-            forgotten: usize::decode(r)?,
-            held_peak: usize::decode(r)?,
-            blocked_ticks: u64::decode(r)?,
-            blocked_messages: usize::decode(r)?,
-            state_peak: usize::decode(r)?,
-            batches: usize::decode(r)?,
-            delivered: usize::decode(r)?,
-            batch_peak: usize::decode(r)?,
-            group_refreshes: usize::decode(r)?,
-            probe_batches: usize::decode(r)?,
-            fused_stages: usize::decode(r)?,
-            compiled_kernel_runs: usize::decode(r)?,
-            out_inserts: usize::decode(r)?,
-            out_retractions: usize::decode(r)?,
-            out_ctis: usize::decode(r)?,
-        })
-    }
+    pub out_ctis: u64,
 }
 
 impl OpStats {
     /// Figure 8's "Output Size": inserts + retractions.
-    pub fn output_size(&self) -> usize {
+    pub fn output_size(&self) -> u64 {
         self.out_inserts + self.out_retractions
     }
 

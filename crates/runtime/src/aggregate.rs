@@ -148,28 +148,11 @@ impl GroupAggregateOp {
         }
         Some(k)
     }
-
-    fn refresh_group(&mut self, k: &[Value], ctx: &mut OpContext) {
-        let g = self.groups.get_mut(k).expect("touched groups exist");
-        Self::refresh(&self.key, &self.agg, g, ctx);
-    }
 }
 
 impl OperatorModule for GroupAggregateOp {
     fn name(&self) -> &'static str {
         "group_aggregate"
-    }
-
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        if let Some(k) = self.fold_insert(event) {
-            self.refresh_group(&k, ctx);
-        }
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-        if let Some(k) = self.fold_retract(r) {
-            self.refresh_group(&k, ctx);
-        }
     }
 
     /// Batch-native delivery: fold the **whole run** into group state
@@ -200,7 +183,8 @@ impl OperatorModule for GroupAggregateOp {
             }
         }
         for k in &touched {
-            self.refresh_group(k, ctx);
+            let g = self.groups.get_mut(k).expect("touched groups exist");
+            Self::refresh(&self.key, &self.agg, g, ctx);
         }
     }
 

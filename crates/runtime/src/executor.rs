@@ -39,7 +39,7 @@
 
 use crate::consistency::ConsistencySpec;
 use crate::operator::{OperatorModule, OperatorShell};
-use crate::stats::OpStats;
+use crate::OpStats;
 use cedr_obs::{ObsHub, TraceEvent};
 use cedr_streams::{Collector, Message, MessageBatch, OutputDelta};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -291,25 +291,6 @@ impl Dataflow {
         }
     }
 
-    /// Interleave several per-source streams round-robin (a simple model of
-    /// concurrent providers).
-    pub fn run_interleaved(&mut self, streams: Vec<Vec<Message>>) {
-        let mut iters: Vec<std::vec::IntoIter<Message>> =
-            streams.into_iter().map(|s| s.into_iter()).collect();
-        loop {
-            let mut progressed = false;
-            for (src, it) in iters.iter_mut().enumerate() {
-                if let Some(m) = it.next() {
-                    self.push_source(src, m);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
     /// The collector attached to a watched node.
     pub fn collector(&self, node: NodeId) -> &Collector {
         self.collectors
@@ -533,10 +514,15 @@ mod tests {
         a.insert_at(t(1), Payload::empty());
         let mut c = StreamBuilder::with_id_base(1000);
         c.insert_at(t(4), Payload::empty());
-        df.run_interleaved(vec![
-            a.build_ordered(None, true),
-            c.build_ordered(None, true),
-        ]);
+        // Round-robin the two providers' streams (equal lengths).
+        for (ma, mc) in a
+            .build_ordered(None, true)
+            .into_iter()
+            .zip(c.build_ordered(None, true))
+        {
+            df.push_source(0, ma);
+            df.push_source(1, mc);
+        }
         assert_eq!(df.collector(seq).stats().inserts, 1);
         assert_eq!(df.collector(seq).max_cti(), Some(TimePoint::INFINITY));
     }

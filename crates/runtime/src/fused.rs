@@ -93,7 +93,7 @@ use crate::consistency::ConsistencySpec;
 use crate::operator::{generation_id, OpContext, OperatorModule, OutputBuffer};
 use cedr_algebra::{DeltaFn, Pred, PredKernel, Scalar, ScalarKernel, VsFn};
 use cedr_streams::batch::{payload_columns_over_where, ColumnarView, MessageKind};
-use cedr_streams::{Message, Retraction};
+use cedr_streams::Message;
 use cedr_temporal::{Event, EventId, Interval, Payload, PayloadColumns, TimePoint};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -421,8 +421,8 @@ fn compile_chain(stages: &[FusedStage]) -> CompiledChain {
 
 /// The per-run compiled-execution context threaded through stage
 /// application: the register-time kernels, the current run's payload
-/// columns (absent on the per-message path) and the per-select-stage
-/// selection bitmaps swept over them.
+/// columns (absent between runs, when the CTI cascade releases parked
+/// messages) and the per-select-stage selection bitmaps swept over them.
 struct KernelCtx<'a> {
     chain: &'a CompiledChain,
     cols: Option<&'a PayloadColumns>,
@@ -729,11 +729,6 @@ impl FusedStatelessOp {
         }
     }
 
-    /// Is the compiled fast path live on this node?
-    pub fn compiled_kernels(&self) -> bool {
-        self.compiled.is_some()
-    }
-
     /// Chain description for plan explains: `select→project→slice`.
     pub fn describe(&self) -> String {
         self.stages
@@ -850,27 +845,6 @@ fn emit(m: WorkMsg, kctx: Option<&KernelCtx<'_>>, out: &mut OutputBuffer) {
 impl OperatorModule for FusedStatelessOp {
     fn name(&self) -> &'static str {
         "fused"
-    }
-
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        let spec = ctx.spec;
-        self.process(
-            WorkMsg::Ins(WorkEv::of(Arc::new(event.clone()))),
-            &spec,
-            ctx.out,
-        );
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-        let spec = ctx.spec;
-        self.process(
-            WorkMsg::Ret {
-                ev: WorkEv::of(r.event.clone()),
-                new_end: r.new_end,
-            },
-            &spec,
-            ctx.out,
-        );
     }
 
     /// The fused hot loop: one pass over the run. The leading stage's

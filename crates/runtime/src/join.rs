@@ -12,7 +12,7 @@
 //! distinct key (one index lookup + sort per key per run instead of one
 //! per message, counted in [`OpStats::probe_batches`](crate::OpStats)).
 //! Candidates stay sorted by ID and every message still probes in arrival
-//! order, so emissions are **bit-identical** to per-message dispatch.
+//! order, so emissions are **bit-identical** to delivery in runs of one.
 
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::{Pred, Scalar};
@@ -228,20 +228,10 @@ impl OperatorModule for JoinOp {
         2
     }
 
-    fn on_insert(&mut self, input: usize, event: &Event, ctx: &mut OpContext) {
-        let mut memo = ProbeMemo::new();
-        self.insert_with_memo(input, event, ctx, &mut memo);
-    }
-
-    fn on_retract(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext) {
-        let mut memo = ProbeMemo::new();
-        self.retract_with_memo(input, r, ctx, &mut memo);
-    }
-
     /// Batch-native probe: one candidate lookup per distinct key for the
     /// whole run (the opposite side is frozen while a run is delivered),
     /// messages probed in arrival order — emissions are bit-identical to
-    /// per-message dispatch.
+    /// delivery in runs of one.
     fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext) {
         let mut memo = ProbeMemo::new();
         if msgs.len() > 1 {

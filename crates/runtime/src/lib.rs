@@ -50,13 +50,14 @@ pub mod negation;
 pub mod operator;
 pub mod sequence;
 pub mod stateless;
-pub mod stats;
 
+/// Per-operator counters, defined once in `cedr-obs` (the bottom of the
+/// crate graph) and filled by [`OperatorShell`].
+pub use cedr_obs::OpStats;
 pub use consistency::{ConsistencyLevel, ConsistencySpec};
 pub use executor::{Dataflow, DataflowBuilder, NodeId, Port};
 pub use fused::{FusedStage, FusedStatelessOp};
 pub use operator::{OpContext, OperatorModule, OperatorShell, OutputBuffer};
-pub use stats::OpStats;
 
 /// Convenience prelude.
 pub mod prelude {
@@ -69,5 +70,5 @@ pub mod prelude {
     pub use crate::operator::{OpContext, OperatorModule, OperatorShell, OutputBuffer};
     pub use crate::sequence::{AtLeastOp, SequenceOp};
     pub use crate::stateless::{AlterLifetimeOp, ProjectOp, SelectOp, SliceOp, UnionOp};
-    pub use crate::stats::OpStats;
+    pub use crate::OpStats;
 }

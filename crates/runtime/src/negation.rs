@@ -247,21 +247,9 @@ impl NegationOp {
             }
         }
     }
-}
 
-impl OperatorModule for NegationOp {
-    fn name(&self) -> &'static str {
-        match self.scope {
-            NegationScope::After { .. } => "unless",
-            NegationScope::History => "cancel_when",
-        }
-    }
-
-    fn arity(&self) -> usize {
-        2
-    }
-
-    fn on_insert(&mut self, input: usize, event: &Event, ctx: &mut OpContext) {
+    /// One arrival: a candidate (input 0) or a negator (input 1).
+    fn insert_one(&mut self, input: usize, event: &Event, ctx: &mut OpContext) {
         if event.interval.is_empty() {
             return;
         }
@@ -299,32 +287,8 @@ impl OperatorModule for NegationOp {
         }
     }
 
-    /// Batch-grained admission for negator runs: a run of pure inserts on
-    /// input 1 enters the `(vs, id)` index in one pass, then each negator
-    /// runs its kill sweep in arrival order. The sweep reads only
-    /// *candidate* state — which a negator run cannot change — so
-    /// emissions are bit-identical to per-message dispatch. Mixed or
-    /// candidate runs dispatch per message (each candidate's processing
-    /// is already independent of its run siblings).
-    fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext) {
-        if input == 1 && msgs.len() > 1 && msgs.iter().all(|m| matches!(m, Message::Insert(_))) {
-            let mut fresh: Vec<Arc<Event>> = Vec::with_capacity(msgs.len());
-            for m in msgs {
-                if let Message::Insert(e) = m {
-                    if !e.interval.is_empty() && self.admit_negator(e) {
-                        fresh.push(e.clone());
-                    }
-                }
-            }
-            for e in fresh {
-                self.negator_kill_sweep(&e, ctx);
-            }
-            return;
-        }
-        crate::operator::dispatch_per_message(self, input, msgs, ctx);
-    }
-
-    fn on_retract(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext) {
+    /// One retraction, of a candidate (input 0) or a negator (input 1).
+    fn retract_one(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext) {
         if !r.is_full_removal() {
             // Lifetimes don't matter to negation; keep stored copies fresh.
             if input == 0 {
@@ -361,6 +325,52 @@ impl OperatorModule for NegationOp {
                 entry.killers.remove(&r.event.id);
                 if entry.killers.is_empty() && !entry.emitted {
                     Self::release_or_hold(self.scope, &mut self.pending, entry, ctx);
+                }
+            }
+        }
+    }
+}
+
+impl OperatorModule for NegationOp {
+    fn name(&self) -> &'static str {
+        match self.scope {
+            NegationScope::After { .. } => "unless",
+            NegationScope::History => "cancel_when",
+        }
+    }
+
+    fn arity(&self) -> usize {
+        2
+    }
+
+    /// Batch-grained admission for negator runs: a run of pure inserts on
+    /// input 1 enters the `(vs, id)` index in one pass, then each negator
+    /// runs its kill sweep in arrival order. The sweep reads only
+    /// *candidate* state — which a negator run cannot change — so
+    /// emissions are bit-identical to delivery in runs of one. Mixed or
+    /// candidate runs are handled one message at a time (each candidate's
+    /// processing is already independent of its run siblings).
+    fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext) {
+        if input == 1 && msgs.len() > 1 && msgs.iter().all(|m| matches!(m, Message::Insert(_))) {
+            let mut fresh: Vec<Arc<Event>> = Vec::with_capacity(msgs.len());
+            for m in msgs {
+                if let Message::Insert(e) = m {
+                    if !e.interval.is_empty() && self.admit_negator(e) {
+                        fresh.push(e.clone());
+                    }
+                }
+            }
+            for e in fresh {
+                self.negator_kill_sweep(&e, ctx);
+            }
+            return;
+        }
+        for m in msgs {
+            match m {
+                Message::Insert(e) => self.insert_one(input, e, ctx),
+                Message::Retract(r) => self.retract_one(input, r, ctx),
+                Message::Cti(_) => {
+                    debug_assert!(false, "CTIs are consumed by the consistency monitor")
                 }
             }
         }

@@ -15,14 +15,14 @@
 //! # Batch-native delivery and the one-refresh-per-run contract
 //!
 //! The shell delivers admitted messages to modules in **per-input runs**
-//! ([`OperatorModule::on_batch`]). All five operator families override the
-//! hook; what each is allowed to amortise follows from one rule — *the
-//! output of a run is a pure function of the delivered run and the state
-//! before it*:
+//! through [`OperatorModule::on_batch`], the trait's only delivery method.
+//! What each operator family is allowed to amortise over a run follows
+//! from one rule — *the output of a run is a pure function of the
+//! delivered run and the state before it*:
 //!
-//! * **Stateless** operators and **join** are *bit-identical* to
-//!   per-message dispatch: they emit exactly one output per qualifying
-//!   input, in input order. Join's batch-native probe exploits the fact
+//! * **Stateless** operators and **join** are *bit-identical* to delivery
+//!   in runs of one: they emit exactly one output per qualifying input,
+//!   in input order. Join's batch-native probe exploits the fact
 //!   that a run arrives on one port, so the opposite side's index is
 //!   frozen for the whole run: one candidate lookup per distinct key
 //!   (`OpStats::probe_batches`), identical emissions.
@@ -57,12 +57,13 @@
 //!   executions are all held to the same collector-level bit-identity,
 //!   at every ⟨consistency, workers, compiled?⟩ point.
 //!
-//! The per-message fallback (the default `on_batch` body) still applies to
-//! any module that does not override the hook — third-party modules work
-//! unmodified — and remains the semantic reference: a batch-native
-//! override must be indistinguishable from the fallback at the level of
-//! net content, output guarantees, and (for the non-collapsing families)
-//! the exact message tape.
+//! **Runs of one are the semantic reference.** There is no separate
+//! per-message hook: classic per-message view maintenance *is* `on_batch`
+//! called once per message ([`OperatorShell::push`] does exactly that),
+//! and `tests/batch_equivalence.rs` uses it as the oracle. Whatever a
+//! module amortises over a longer run must be indistinguishable from
+//! runs-of-one delivery at the level of net content, output guarantees,
+//! and (for the non-collapsing families) the exact message tape.
 //!
 //! Batching never outruns the consistency monitor: a run's
 //! [`OpContext::watermark`] is capped by the sync of every message still
@@ -71,7 +72,7 @@
 //! guarantee past an undelivered negator or contributor.
 
 use crate::consistency::ConsistencySpec;
-use crate::stats::OpStats;
+use crate::OpStats;
 use cedr_streams::{Message, Retraction};
 use cedr_temporal::{Duration, Event, TimePoint};
 use std::collections::BTreeMap;
@@ -137,27 +138,6 @@ impl OutputBuffer {
     }
 }
 
-/// Dispatch a run to a module one message at a time — the reference
-/// delivery the default [`OperatorModule::on_batch`] uses, shared with
-/// the batch-native overrides' per-message branches so the three cannot
-/// drift apart.
-pub(crate) fn dispatch_per_message<M: OperatorModule + ?Sized>(
-    module: &mut M,
-    input: usize,
-    msgs: &[Message],
-    ctx: &mut OpContext,
-) {
-    for m in msgs {
-        match m {
-            Message::Insert(e) => module.on_insert(input, e, ctx),
-            Message::Retract(r) => module.on_retract(input, r, ctx),
-            Message::Cti(_) => {
-                debug_assert!(false, "CTIs are consumed by the consistency monitor")
-            }
-        }
-    }
-}
-
 /// Remap a module-internal output ID to its current chain generation.
 ///
 /// The paper's retraction model (Figure 2) requires a completely removed
@@ -181,11 +161,11 @@ pub(crate) fn generation_id(id: cedr_temporal::EventId, gen: u64) -> cedr_tempor
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OpEffort {
     /// Group refresh computations performed (group-aggregate).
-    pub group_refreshes: usize,
+    pub group_refreshes: u64,
     /// Delivery runs probed batch-natively (join).
-    pub probe_batches: usize,
+    pub probe_batches: u64,
     /// Compiled-kernel sweeps run over payload columns (fused node).
-    pub compiled_kernel_runs: usize,
+    pub compiled_kernel_runs: u64,
 }
 
 /// Execution context handed to operational modules.
@@ -245,31 +225,18 @@ pub trait OperatorModule: Send {
         1
     }
 
-    /// A new event arrived on `input`.
-    fn on_insert(&mut self, input: usize, event: &Event, ctx: &mut OpContext);
-
-    /// A retraction arrived on `input`.
-    fn on_retract(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext);
-
-    /// A run of data messages arrived on `input`, already admitted by the
-    /// consistency monitor and in delivery order.
+    /// A run of data messages (inserts and retractions) arrived on
+    /// `input`, already admitted by the consistency monitor and in
+    /// delivery order. This is the only way a module receives input.
     ///
-    /// The shell routes **all** module deliveries through this hook; the
-    /// default implementation dispatches per message to
-    /// [`OperatorModule::on_insert`]/[`OperatorModule::on_retract`], so
-    /// existing operators work unmodified. Operators with per-call overhead
-    /// worth amortising (index lookups, group resolution) may override it —
-    /// all five built-in families do; see the module docs for what an
-    /// override may collapse (the one-refresh-per-run contract) and what it
-    /// must reproduce exactly.
-    ///
-    /// Contract: `ctx.watermark` is honest for the run as a whole — every
-    /// input message with `Sync` below it has either been delivered in an
-    /// earlier call or is contained in `msgs` itself. CTIs never appear in
-    /// `msgs` (the monitor consumes them).
-    fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext) {
-        dispatch_per_message(self, input, msgs, ctx);
-    }
+    /// Contract: `msgs` holds no CTIs (the monitor consumes them), and
+    /// `ctx.watermark` is honest for the run as a whole — every input
+    /// message with `Sync` below it has either been delivered in an
+    /// earlier call or is contained in `msgs` itself. A module may amortise
+    /// per-call work over the run (index lookups, one refresh per touched
+    /// group); see the module docs for what may be collapsed and what must
+    /// match delivery in runs of one exactly.
+    fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext);
 
     /// Called after every batch of deliveries and after watermark changes:
     /// confirm pending output, purge state.
@@ -374,7 +341,7 @@ impl OperatorShell {
     pub fn new(module: Box<dyn OperatorModule>, spec: ConsistencySpec) -> Self {
         let arity = module.arity();
         let stats = OpStats {
-            fused_stages: module.fused_stages(),
+            fused_stages: module.fused_stages() as u64,
             ..OpStats::default()
         };
         OperatorShell {
@@ -446,7 +413,7 @@ impl OperatorShell {
                     self.flush_pending(now);
                     let before = self.watermark;
                     self.observe_cti(input, *t);
-                    self.release(now);
+                    self.release();
                     self.flush_pending(now);
                     // Give the module its watermark-change hook mid-batch
                     // and forward the guarantee downstream *at its position
@@ -473,7 +440,7 @@ impl OperatorShell {
                         self.align
                             .insert((sync, self.seq), (input, data.clone(), now));
                         self.seq += 1;
-                        self.stats.held_peak = self.stats.held_peak.max(self.align.len());
+                        self.stats.held_peak = self.stats.held_peak.max(self.align.len() as u64);
                     } else {
                         self.pending.push(PendingDelivery {
                             input,
@@ -484,7 +451,7 @@ impl OperatorShell {
                     // A data arrival can advance `max_seen` past a finite
                     // blocking deadline (first loop iteration breaks when
                     // nothing is due).
-                    self.release(now);
+                    self.release();
                 }
             }
         }
@@ -492,7 +459,7 @@ impl OperatorShell {
         self.advance_module();
         self.emit_cti();
         self.module.on_round_end();
-        self.finish(now)
+        self.finish()
     }
 
     /// Fold a CTI into the per-input watermarks and the combined guarantee.
@@ -515,7 +482,7 @@ impl OperatorShell {
     /// watermark or have been blocked for the maximum blocking time into
     /// the pending delivery buffer (in sync order).
     #[allow(clippy::while_let_loop)] // while-let would hold the align borrow over the body
-    fn release(&mut self, _now: u64) {
+    fn release(&mut self) {
         loop {
             let Some((&(sync, seq), _)) = self.align.iter().next() else {
                 break;
@@ -556,11 +523,11 @@ impl OperatorShell {
     /// in one `on_batch` call. The run's watermark is
     /// `min(effective watermark, sync of every pending message after the
     /// run's first)` — capping by the run's *own* later messages as well as
-    /// later runs, because the default `on_batch` dispatches sequentially
-    /// and an early message must never see a guarantee that overtakes an
+    /// later runs, because modules that handle a run one message at a time
+    /// must never show an early message a guarantee that overtakes an
     /// undelivered sibling (e.g. its own still-queued removal, which under
     /// Strong would turn a silent suppression into an emit-then-retract).
-    /// This matches the per-message path exactly for the run's first
+    /// This matches runs-of-one delivery exactly for the run's first
     /// message and is conservative for the rest; emissions a larger
     /// watermark would have confirmed mid-run surface at the next
     /// `on_advance`, which follows every flush.
@@ -616,8 +583,8 @@ impl OperatorShell {
             if !run.is_empty() {
                 let watermark = TimePoint::min_of(base, suffix_min[i + 1]);
                 self.stats.batches += 1;
-                self.stats.delivered += run.len();
-                self.stats.batch_peak = self.stats.batch_peak.max(run.len());
+                self.stats.delivered += run.len() as u64;
+                self.stats.batch_peak = self.stats.batch_peak.max(run.len() as u64);
                 let mut ctx = OpContext {
                     spec: self.spec,
                     watermark,
@@ -674,12 +641,12 @@ impl OperatorShell {
         }
     }
 
-    fn finish(&mut self, _now: u64) -> Vec<Message> {
+    fn finish(&mut self) -> Vec<Message> {
         let orphan_count: usize = self.orphans.iter().map(|m| m.len()).sum();
         self.stats.state_peak = self
             .stats
             .state_peak
-            .max(self.module.state_size() + self.align.len() + orphan_count);
+            .max((self.module.state_size() + self.align.len() + orphan_count) as u64);
         let mut msgs = self.out.drain();
         for m in &mut msgs {
             match m {
@@ -857,15 +824,17 @@ mod tests {
         fn name(&self) -> &'static str {
             "echo"
         }
-        fn on_insert(&mut self, _input: usize, e: &Event, ctx: &mut OpContext) {
-            self.delivered.push(e.vs());
-            ctx.out.insert(e.clone());
-        }
-        fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-            ctx.out.retract_to(r.event.clone(), r.new_end);
-        }
-        fn state_size(&self) -> usize {
-            0
+        fn on_batch(&mut self, _input: usize, msgs: &[Message], ctx: &mut OpContext) {
+            for m in msgs {
+                match m {
+                    Message::Insert(e) => {
+                        self.delivered.push(e.vs());
+                        ctx.out.insert(e.clone());
+                    }
+                    Message::Retract(r) => ctx.out.retract_to(r.event.clone(), r.new_end),
+                    Message::Cti(_) => unreachable!("CTIs are consumed by the monitor"),
+                }
+            }
         }
     }
 
@@ -955,10 +924,7 @@ mod tests {
             fn arity(&self) -> usize {
                 2
             }
-            fn on_insert(&mut self, _i: usize, e: &Event, ctx: &mut OpContext) {
-                ctx.out.insert(e.clone());
-            }
-            fn on_retract(&mut self, _i: usize, _r: &Retraction, _ctx: &mut OpContext) {}
+            fn on_batch(&mut self, _i: usize, _msgs: &[Message], _ctx: &mut OpContext) {}
         }
         let mut s = OperatorShell::new(Box::new(Two), ConsistencySpec::strong());
         s.push(0, Message::Cti(t(10)), 0);
@@ -1023,10 +989,9 @@ mod tests {
             fn arity(&self) -> usize {
                 2
             }
-            fn on_insert(&mut self, input: usize, _e: &Event, ctx: &mut OpContext) {
+            fn on_batch(&mut self, input: usize, _msgs: &[Message], ctx: &mut OpContext) {
                 self.seen.lock().unwrap().push((input, ctx.watermark));
             }
-            fn on_retract(&mut self, _i: usize, _r: &Retraction, _ctx: &mut OpContext) {}
         }
 
         let seen = StdArc::new(Mutex::new(Vec::new()));

@@ -4,8 +4,7 @@
 //! `SequenceOp` keeps per-slot event state in a `(Vs, id)`-ordered index.
 //! Restrictive SC modes (First/MostRecent selection, Consume) use a
 //! recompute-and-diff strategy against the denotational match set, because
-//! selection and consumption are globally order-dependent; the cost of this
-//! is measured by the `sc_modes` ablation bench.
+//! selection and consumption are globally order-dependent.
 //!
 //! **The incremental fast path** (the default Each/Reuse SC mode)
 //! enumerates exactly the *new* matches each arrival completes, at a cost
@@ -43,8 +42,8 @@
 //! module docs (intermediate selections a finer batching would have
 //! published-and-repaired are never emitted; net content is unchanged).
 //! The Each/Reuse fast path keeps exact per-message enumeration: each
-//! arrival completes its own matches in arrival order, so its batch
-//! delivery is bit-identical to per-message dispatch.
+//! arrival completes its own matches in arrival order, so a run of `n`
+//! messages is bit-identical to `n` runs of one.
 
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Pred;
@@ -241,24 +240,11 @@ impl SequenceOp {
         let desired: Vec<Event> = selected.into_iter().map(|m| m.output).collect();
         diff_emitted(&mut self.emitted, desired, ctx);
     }
-}
 
-impl OperatorModule for SequenceOp {
-    fn name(&self) -> &'static str {
-        "sequence"
-    }
-
-    fn arity(&self) -> usize {
-        self.k()
-    }
-
-    fn on_insert(&mut self, input: usize, event: &Event, ctx: &mut OpContext) {
+    /// Each/Reuse arrival: emit exactly the new matches `event` completes.
+    fn insert_each(&mut self, input: usize, event: &Event, ctx: &mut OpContext) {
         if !admit_insert(&mut self.slots[input], event) {
             return; // duplicate delivery or empty lifetime
-        }
-        if self.restrictive {
-            self.recompute(ctx);
-            return;
         }
         for out in self.matches_with(input, event) {
             if self.emitted.contains_key(&out.id) {
@@ -273,13 +259,10 @@ impl OperatorModule for SequenceOp {
         }
     }
 
-    fn on_retract(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext) {
+    /// Each/Reuse removal: retract every output the contributor fed.
+    fn retract_each(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext) {
         if !admit_retract(&mut self.slots[input], r) {
             return; // partial shortening, never seen, or already forgotten
-        }
-        if self.restrictive {
-            self.recompute(ctx);
-            return;
         }
         for out_id in self.by_contrib.remove(&r.event.id).unwrap_or_default() {
             if let Some(out) = self.emitted.remove(&out_id) {
@@ -287,21 +270,33 @@ impl OperatorModule for SequenceOp {
             }
         }
     }
+}
+
+impl OperatorModule for SequenceOp {
+    fn name(&self) -> &'static str {
+        "sequence"
+    }
+
+    fn arity(&self) -> usize {
+        self.k()
+    }
 
     /// Batch-native delivery. Restrictive SC modes admit the whole run
     /// into the slot index and recompute-and-diff **once per run**; the
-    /// Each/Reuse fast path dispatches per message (its incremental
+    /// Each/Reuse fast path handles one message at a time (its incremental
     /// enumeration is already exact and order-pinned).
     fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext) {
-        if !self.restrictive {
-            crate::operator::dispatch_per_message(self, input, msgs, ctx);
-            return;
-        }
         let mut changed = false;
         for m in msgs {
             match m {
-                Message::Insert(e) => changed |= admit_insert(&mut self.slots[input], e),
-                Message::Retract(r) => changed |= admit_retract(&mut self.slots[input], r),
+                Message::Insert(e) if self.restrictive => {
+                    changed |= admit_insert(&mut self.slots[input], e)
+                }
+                Message::Retract(r) if self.restrictive => {
+                    changed |= admit_retract(&mut self.slots[input], r)
+                }
+                Message::Insert(e) => self.insert_each(input, e, ctx),
+                Message::Retract(r) => self.retract_each(input, r, ctx),
                 Message::Cti(_) => {
                     debug_assert!(false, "CTIs are consumed by the consistency monitor")
                 }
@@ -485,18 +480,6 @@ impl OperatorModule for AtLeastOp {
 
     fn arity(&self) -> usize {
         self.slots.len()
-    }
-
-    fn on_insert(&mut self, input: usize, event: &Event, ctx: &mut OpContext) {
-        if admit_insert(&mut self.slots[input], event) {
-            self.recompute(ctx);
-        }
-    }
-
-    fn on_retract(&mut self, input: usize, r: &Retraction, ctx: &mut OpContext) {
-        if admit_retract(&mut self.slots[input], r) {
-            self.recompute(ctx);
-        }
     }
 
     /// Batch-native delivery: ATLEAST is always recompute-and-diff, so a

@@ -6,18 +6,13 @@
 //! insert and emit the difference. They hold no state at any consistency
 //! level (the "Minimal"/"Low" state rows of Figure 8 for simple plans).
 //!
-//! Being stateless also makes them the natural first family to go
-//! **batch-native**: the filter/map/pass-through operators (select,
-//! project, union) override [`OperatorModule::on_batch`] to process a
-//! whole delivery run as one tight loop over a pre-sized output `Vec`,
-//! matching each message exactly once. The trait's default — which
-//! already dispatches to `on_insert`/`on_retract` statically per
-//! monomorphized module — remains right for operators whose per-message
-//! transform is the whole cost (alter-lifetime, slice), so those keep
-//! it. Batch and per-message delivery are behaviourally identical by
-//! construction either way.
+//! Each [`OperatorModule::on_batch`] is one loop over the delivery run
+//! that handles every message exactly once, so a run of `n` messages and
+//! `n` runs of one produce the same output by construction. The
+//! filter/map/pass-through operators (select, project, union) emit at
+//! most one output per input and pre-size the output buffer for the run.
 
-use crate::operator::{OpContext, OperatorModule};
+use crate::operator::{OpContext, OperatorModule, OutputBuffer};
 use cedr_algebra::alter_lifetime::{DeltaFn, VsFn};
 use cedr_algebra::expr::{Pred, Scalar};
 use cedr_streams::{Message, Retraction};
@@ -39,20 +34,6 @@ impl OperatorModule for SelectOp {
         "select"
     }
 
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        if self.pred.eval_event(event) {
-            ctx.out.insert(event.clone());
-        }
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-        // The payload is unchanged by retraction, so the event passed the
-        // filter iff its retraction does.
-        if self.pred.eval_event(&r.event) {
-            ctx.out.retract_to(r.event.clone(), r.new_end);
-        }
-    }
-
     /// Batch-native filtering: evaluate the predicate across the run and
     /// emit the survivors (`Arc` clones) into one output buffer.
     fn on_batch(&mut self, _input: usize, msgs: &[Message], ctx: &mut OpContext) {
@@ -65,6 +46,8 @@ impl OperatorModule for SelectOp {
                     }
                 }
                 Message::Retract(r) => {
+                    // The payload is unchanged by retraction, so the event
+                    // passed the filter iff its retraction does.
                     if self.pred.eval_event(&r.event) {
                         ctx.out.retract_to(r.event.clone(), r.new_end);
                     }
@@ -102,14 +85,6 @@ impl ProjectOp {
 impl OperatorModule for ProjectOp {
     fn name(&self) -> &'static str {
         "project"
-    }
-
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        ctx.out.insert(self.transform(event));
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-        ctx.out.retract_to(self.transform(&r.event), r.new_end);
     }
 
     /// Batch-native mapping: transform the run in one pass into one
@@ -177,21 +152,10 @@ impl AlterLifetimeOp {
             payload: e.payload.clone(),
         }
     }
-}
 
-impl OperatorModule for AlterLifetimeOp {
-    fn name(&self) -> &'static str {
-        "alter_lifetime"
-    }
-
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        let out = self.map(event);
-        if !out.interval.is_empty() {
-            ctx.out.insert(out);
-        }
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
+    /// Emit the difference between the mapped original and the mapped
+    /// shortening.
+    fn retract(&self, r: &Retraction, out: &mut OutputBuffer) {
         let old_out = self.map(&r.event);
         let shortened = r.retracted_event();
         let new_out = if shortened.interval.is_empty() {
@@ -201,21 +165,39 @@ impl OperatorModule for AlterLifetimeOp {
         };
         match (old_out.interval.is_empty(), new_out) {
             (true, None) => {}
-            (true, Some(n)) => ctx.out.insert(n),
-            (false, None) => ctx.out.retract_full(old_out),
+            (true, Some(n)) => out.insert(n),
+            (false, None) => out.retract_full(old_out),
             (false, Some(n)) => {
                 if n.interval == old_out.interval {
                     // e.g. a window whose clipped lifetime is unaffected.
                 } else if n.interval.start == old_out.interval.start
                     && n.interval.end < old_out.interval.end
                 {
-                    ctx.out.retract_to(old_out, n.interval.end);
+                    out.retract_to(old_out, n.interval.end);
                 } else {
                     // The start moved (Ve-anchored mappings) or the lifetime
                     // grew (impossible for pure shortenings, kept for
                     // robustness): remove and re-insert.
-                    ctx.out.retract_full(old_out);
-                    ctx.out.insert(n);
+                    out.retract_full(old_out);
+                    out.insert(n);
+                }
+            }
+        }
+    }
+}
+
+impl OperatorModule for AlterLifetimeOp {
+    fn name(&self) -> &'static str {
+        "alter_lifetime"
+    }
+
+    fn on_batch(&mut self, _input: usize, msgs: &[Message], ctx: &mut OpContext) {
+        for m in msgs {
+            match m {
+                Message::Insert(e) => ctx.out.insert(self.map(e)),
+                Message::Retract(r) => self.retract(r, ctx.out),
+                Message::Cti(_) => {
+                    debug_assert!(false, "CTIs are consumed by the consistency monitor")
                 }
             }
         }
@@ -283,20 +265,28 @@ impl OperatorModule for SliceOp {
         "slice"
     }
 
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        if let Some(out) = self.slice(event) {
-            ctx.out.insert(out);
-        }
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-        let Some(old_out) = self.slice(&r.event) else {
-            return;
-        };
-        match self.slice(&r.retracted_event()) {
-            Some(new_out) if new_out.interval == old_out.interval => {}
-            Some(new_out) => ctx.out.retract_to(old_out, new_out.interval.end),
-            None => ctx.out.retract_full(old_out),
+    fn on_batch(&mut self, _input: usize, msgs: &[Message], ctx: &mut OpContext) {
+        for m in msgs {
+            match m {
+                Message::Insert(e) => {
+                    if let Some(out) = self.slice(e) {
+                        ctx.out.insert(out);
+                    }
+                }
+                Message::Retract(r) => {
+                    let Some(old_out) = self.slice(&r.event) else {
+                        continue;
+                    };
+                    match self.slice(&r.retracted_event()) {
+                        Some(new_out) if new_out.interval == old_out.interval => {}
+                        Some(new_out) => ctx.out.retract_to(old_out, new_out.interval.end),
+                        None => ctx.out.retract_full(old_out),
+                    }
+                }
+                Message::Cti(_) => {
+                    debug_assert!(false, "CTIs are consumed by the consistency monitor")
+                }
+            }
         }
     }
 }
@@ -312,14 +302,6 @@ impl OperatorModule for UnionOp {
 
     fn arity(&self) -> usize {
         2
-    }
-
-    fn on_insert(&mut self, _input: usize, event: &Event, ctx: &mut OpContext) {
-        ctx.out.insert(event.clone());
-    }
-
-    fn on_retract(&mut self, _input: usize, r: &Retraction, ctx: &mut OpContext) {
-        ctx.out.retract_to(r.event.clone(), r.new_end);
     }
 
     /// Batch-native pass-through: the whole run is forwarded as `Arc`

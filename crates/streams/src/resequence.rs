@@ -207,15 +207,6 @@ impl<T> Resequencer<T> {
         self.buffered
     }
 
-    /// Per-lane view for checkpointing: `(key, base, next_seq, final_seq,
-    /// buffered len)` in ascending key order, without cloning payloads.
-    pub fn lane_cursors(&self) -> Vec<(u64, u64, u64, Option<u64>, usize)> {
-        self.lanes
-            .iter()
-            .map(|(&k, l)| (k, l.base, l.next_seq, l.final_seq, l.buffered.len()))
-            .collect()
-    }
-
     /// Decompose into plain checkpointable parts. Lanes come out in
     /// ascending key order and buffered emissions in ascending seq order,
     /// so the decomposition is deterministic.

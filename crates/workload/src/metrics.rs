@@ -38,13 +38,6 @@ pub struct ExperimentResult {
     pub sink_net: UniTemporalTable,
 }
 
-impl ExperimentResult {
-    /// Figure 8's "Output Size" at the sink.
-    pub fn sink_output_size(&self) -> usize {
-        self.output.data_messages
-    }
-}
-
 /// Scramble several per-type streams onto ONE global delivery timeline.
 ///
 /// Every data message across all streams gets a delivery key

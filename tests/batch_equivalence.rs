@@ -453,9 +453,9 @@ fn stateful_heavy_parallel_workers_bit_identical_at_all_levels() {
     }
 }
 
-/// Forwards every delivery to the wrapped module **per message** through
-/// the default `on_batch` fallback, bypassing the module's own
-/// batch-native override — the semantic reference implementation.
+/// Forwards every delivery to the wrapped module in **runs of one** —
+/// classic per-message view maintenance, the semantic reference every
+/// longer run is held to.
 struct PerMessage<M>(M);
 
 impl<M: cedr::runtime::OperatorModule> cedr::runtime::OperatorModule for PerMessage<M> {
@@ -465,24 +465,11 @@ impl<M: cedr::runtime::OperatorModule> cedr::runtime::OperatorModule for PerMess
     fn arity(&self) -> usize {
         self.0.arity()
     }
-    fn on_insert(
-        &mut self,
-        input: usize,
-        event: &cedr::temporal::Event,
-        ctx: &mut cedr::runtime::OpContext,
-    ) {
-        self.0.on_insert(input, event, ctx)
+    fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut cedr::runtime::OpContext) {
+        for m in msgs {
+            self.0.on_batch(input, std::slice::from_ref(m), ctx);
+        }
     }
-    fn on_retract(
-        &mut self,
-        input: usize,
-        r: &cedr::streams::Retraction,
-        ctx: &mut cedr::runtime::OpContext,
-    ) {
-        self.0.on_retract(input, r, ctx)
-    }
-    // Deliberately NOT overriding `on_batch`: the default dispatches per
-    // message, which is exactly the reference behaviour under test.
     fn on_advance(&mut self, ctx: &mut cedr::runtime::OpContext) {
         self.0.on_advance(ctx)
     }
@@ -517,7 +504,7 @@ fn port_batches(
 }
 
 /// Drive identical delivery batches through a module's batch-native
-/// override and through the per-message fallback; return both shells'
+/// override and through the runs-of-one reference; return both shells'
 /// full output tapes.
 fn override_vs_fallback<M: cedr::runtime::OperatorModule + 'static>(
     native: M,
@@ -539,7 +526,7 @@ fn override_vs_fallback<M: cedr::runtime::OperatorModule + 'static>(
 
 /// The join's memoised batch probe, the Each/Reuse sequence fast path and
 /// negation's batch-grained index admission must be **bit-identical** to
-/// the per-message fallback on the same delivery runs — batch for batch,
+/// the runs-of-one reference on the same delivery runs — batch for batch,
 /// byte for byte — at every level including biting-horizon Weak.
 #[test]
 fn join_sequence_negation_overrides_bit_identical_to_fallback() {
@@ -569,14 +556,14 @@ fn join_sequence_negation_overrides_bit_identical_to_fallback() {
                 assert_eq!(
                     oa, ob,
                     "{level}/seed {seed:#x}: {name} batch-native override \
-                     diverged from the per-message fallback"
+                     diverged from the runs-of-one reference"
                 );
             }
         }
     }
 }
 
-/// The group-aggregate override against the per-message fallback on the
+/// The group-aggregate override against the runs-of-one reference on the
 /// same delivery runs: the collapsed tape publishes strictly less repair
 /// churn, but net content per run boundary — and the final table — are
 /// identical at every level including biting-horizon Weak.
@@ -639,7 +626,7 @@ fn group_aggregate_collapses_to_one_refresh_per_touched_group_per_run() {
         batched.collector(q_b).max_cti()
     );
 
-    let refreshes = |e: &Engine, q: QueryId| -> usize {
+    let refreshes = |e: &Engine, q: QueryId| -> u64 {
         e.node_stats(q).iter().map(|(_, s)| s.group_refreshes).sum()
     };
     let (rs, rb) = (refreshes(&single, q_s), refreshes(&batched, q_b));
@@ -648,7 +635,7 @@ fn group_aggregate_collapses_to_one_refresh_per_touched_group_per_run() {
         "expected ≥2× refresh amortisation from the collapse, got {rs} per-message vs {rb} batched"
     );
     // The join query in the same batched run exercised the memoised probe.
-    let probe_batches: usize = batched
+    let probe_batches: u64 = batched
         .node_stats(qs_b[1])
         .iter()
         .map(|(_, s)| s.probe_batches)

@@ -228,7 +228,7 @@ fn weak_with_biting_horizon_equals_the_canonical_serial_schedule() {
             let serial = run_serial_reference(spec, &scripts, threads);
             let concurrent = run_concurrent(spec, &scripts, threads, 0x77);
             // The horizon must actually bite for this to mean anything.
-            let forgotten: usize = serial.1.iter().map(|q| serial.0.stats(*q).forgotten).sum();
+            let forgotten: u64 = serial.1.iter().map(|q| serial.0.stats(*q).forgotten).sum();
             assert!(forgotten > 0, "pick a tighter horizon");
             assert_bit_identical(
                 &format!("weak-biting/{producers} producers/{threads} workers"),

@@ -294,9 +294,9 @@ fn explain_renders_fused_chains_and_the_escape_hatch() {
     );
 }
 
-/// Single-message ingestion exercises the fused `on_insert`/`on_retract`
-/// paths (no run, no columnar view — compiled kernels fall back to
-/// per-row evaluation) — same pin, per-message, on both execution modes.
+/// Single-message ingestion drives the fused `on_batch` with runs of one
+/// (a one-row columnar view and one-row kernel sweeps per message) — same
+/// pin, per message, on both execution modes.
 #[test]
 fn fused_per_message_path_matches_unfused() {
     for (spec, level) in LEVELS {

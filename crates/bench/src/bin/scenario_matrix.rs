@@ -220,8 +220,8 @@ fn render(report: &MatrixReport) -> String {
          content through retraction churn; Weak caps state by forgetting and \
          surrenders accuracy for it. Latency (wall-clock ingest-to-delta \
          histograms) is intentionally not in this file - run the generator to \
-         see it on stdout, or the `scenarios` bench for the gated, \
-         deterministic spectrum ratios in `BENCH_scenarios.json`.",
+         see it on stdout, or the `benchmark/` package for the measured \
+         Strong-vs-Middle cost (`runtime.shell.strong_over_middle`).",
     );
     out
 }

@@ -1,6 +1,5 @@
 //! One regeneration function per paper artifact. Each returns the rendered
-//! report; the `src/bin/*` targets are thin wrappers, and `repro_all` runs
-//! everything.
+//! report; the `repro_all` binary prints all of them, or the named ones.
 
 use crate::{high_orderliness, low_orderliness, machine_catalog, machine_streams, run_cell};
 use cedr_algebra::expr::{CmpOp, Pred, Scalar};
@@ -320,11 +319,7 @@ pub fn fig08b() -> String {
         lower(&plan, &machine_catalog(), spec).expect("lowers")
     };
     let run = |spec: ConsistencySpec, disorder| {
-        cedr_workload::metrics::run_experiment(
-            make_plan(spec),
-            &streams,
-            &cedr_workload::metrics::Experiment { spec, disorder },
-        )
+        cedr_workload::metrics::run_experiment(make_plan(spec), &streams, &disorder)
     };
     let reference = run(ConsistencySpec::strong(), high_orderliness(5)).sink_net;
     let mut out = String::new();
@@ -725,9 +720,12 @@ mod tests {
             ("fig03_05", fig03_05()),
             ("fig06", fig06()),
             ("fig07", fig07()),
+            ("fig08", fig08()),
+            ("fig09", fig09()),
             ("fig10", fig10()),
             ("tab01", tab01()),
             ("tab02", tab02()),
+            ("tab03", tab03()),
             ("tab04", tab04()),
         ] {
             assert!(!s.is_empty(), "{name} produced no output");

@@ -1,14 +1,16 @@
-//! Shared harness code for the figure-regeneration binaries and Criterion
-//! benches. Each `src/bin/figNN_*` / `tabNN_*` binary regenerates the
-//! paper artifact it is named after (see [`figures`]); the engine's layout
-//! is described in `docs/architecture.md`.
+//! Paper-artifact regeneration: [`figures`] holds one function per
+//! figure/table of the paper and the `repro_all` binary prints them;
+//! this module is the CIDR07_Example fixture the runtime-driven ones
+//! (`fig08`, `fig09`, `tab03`) share. The `scenario_matrix` binary
+//! generates `docs/CONSISTENCY.md`. Performance is measured by the
+//! separate `benchmark/` package, not here.
 
 use cedr_lang::{bind, lower, optimize, Catalog, FieldType, LoweredPlan};
 use cedr_runtime::ConsistencySpec;
 use cedr_streams::{DisorderConfig, Message};
 use cedr_temporal::Duration;
 use cedr_workload::machines::{self, MachineWorkloadConfig};
-use cedr_workload::metrics::{run_experiment, Experiment, ExperimentResult};
+use cedr_workload::metrics::{run_experiment, ExperimentResult};
 
 /// The machine-monitoring catalog used across experiments.
 pub fn machine_catalog() -> Catalog {
@@ -63,7 +65,7 @@ pub fn run_cell(
     disorder: DisorderConfig,
     streams: &[(String, Vec<Message>)],
 ) -> ExperimentResult {
-    run_experiment(cidr07_plan(spec), streams, &Experiment { spec, disorder })
+    run_experiment(cidr07_plan(spec), streams, &disorder)
 }
 
 #[cfg(test)]
@@ -95,4 +97,3 @@ mod tests {
     }
 }
 pub mod figures;
-pub mod summary;

@@ -243,36 +243,11 @@ pub struct PumpProgress {
     pub rounds_stalled: u64,
 }
 
-/// Per-shard ingress observability: what was staged onto the bounded
-/// ingress, what the drains admitted into dataflows, and how often
-/// admission hit the capacity bound. Surfaced by
+/// Per-shard ingress counters, surfaced by
 /// [`Engine::ingress_stats`](crate::Engine::ingress_stats) /
-/// [`Engine::shard_ingress_stats`](crate::Engine::shard_ingress_stats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IngressStats {
-    /// Batches staged onto this shard's ingress queue.
-    pub staged_batches: u64,
-    /// Messages inside those batches.
-    pub staged_messages: u64,
-    /// Batches drained from the ingress into dataflows.
-    pub admitted_batches: u64,
-    /// Messages delivered by those drains.
-    pub admitted_messages: u64,
-    /// Times admission found this shard at capacity (blocking drains and
-    /// `try_*` rejections both count).
-    pub backpressure_events: u64,
-}
-
-impl IngressStats {
-    /// Fold another shard's counters into this one.
-    pub fn absorb(&mut self, other: &IngressStats) {
-        self.staged_batches += other.staged_batches;
-        self.staged_messages += other.staged_messages;
-        self.admitted_batches += other.admitted_batches;
-        self.admitted_messages += other.admitted_messages;
-        self.backpressure_events += other.backpressure_events;
-    }
-}
+/// [`Engine::shard_ingress_stats`](crate::Engine::shard_ingress_stats):
+/// the shards count straight into the `cedr-obs` snapshot type.
+pub use cedr_obs::IngressCounters as IngressStats;
 
 /// A `Send + Clone` ingestion handle on one named input stream, with no
 /// engine borrow.

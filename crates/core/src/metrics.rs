@@ -1,11 +1,12 @@
 //! [`Engine::metrics`] — the unified [`MetricsSnapshot`] assembly.
 //!
 //! This module only *reads*: it converts the engine's live counters
-//! (per-query collector stats, per-shard ingress stats, channel pump
-//! state, checkpoint accounting) and the
-//! [`ObsHub`](cedr_obs::ObsHub)'s histograms/trace ring into the plain
-//! [`cedr_obs`] snapshot types. Per-node operator stats need no
-//! conversion: the shells count straight into [`cedr_obs::OpStats`].
+//! (per-query collector stats, channel pump state, checkpoint
+//! accounting) and the [`ObsHub`](cedr_obs::ObsHub)'s histograms/trace
+//! ring into the plain [`cedr_obs`] snapshot types. Per-node operator
+//! stats and per-shard ingress counters need no conversion: the shells
+//! count straight into [`cedr_obs::OpStats`], the shards into
+//! [`cedr_obs::IngressCounters`].
 //! Rendering lives in `cedr_obs` (see
 //! [`MetricsSnapshot::render_prometheus`] /
 //! [`MetricsSnapshot::render_report`]); the determinism taxonomy the
@@ -14,20 +15,10 @@
 
 use crate::engine::Engine;
 use cedr_obs::{
-    ChannelCounters, CounterSnapshot, IngressCounters, MetricsSnapshot, NodeCounters, ObsClock,
-    QueryCounters, TraceEvent,
+    ChannelCounters, CounterSnapshot, MetricsSnapshot, NodeCounters, ObsClock, QueryCounters,
+    TraceEvent,
 };
 use std::sync::Arc;
-
-fn ingress_counters(s: &crate::ingest::IngressStats) -> IngressCounters {
-    IngressCounters {
-        staged_batches: s.staged_batches,
-        staged_messages: s.staged_messages,
-        admitted_batches: s.admitted_batches,
-        admitted_messages: s.admitted_messages,
-        backpressure_events: s.backpressure_events,
-    }
-}
 
 impl Engine {
     /// One unified snapshot of everything the engine can observe —
@@ -72,12 +63,8 @@ impl Engine {
             })
             .collect();
 
-        let shards: Vec<IngressCounters> = self
-            .shards
-            .iter()
-            .map(|s| ingress_counters(&s.stats))
-            .collect();
-        let ingress_total = ingress_counters(&self.ingress_stats());
+        let shards = self.shard_ingress_stats();
+        let ingress_total = self.ingress_stats();
 
         // The channel block is present whenever a channel ingress exists
         // or ever existed (seal tears the channel down but the semantic

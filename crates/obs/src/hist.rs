@@ -5,7 +5,7 @@
 //! bit length is `i` (i.e. `v` in `[2^(i-1), 2^i)`), so relative error is
 //! bounded by 2x — plenty for the "is a round microseconds or
 //! milliseconds" questions the report answers, and cheap enough to record
-//! on every round without showing up in the overhead bench.
+//! on every round.
 
 /// Number of buckets: one per possible `u64` bit length (0..=63, with the
 /// top bucket absorbing everything that would need 64 bits).

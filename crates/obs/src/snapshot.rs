@@ -75,13 +75,22 @@ pub struct QueryCounters {
     pub subscriptions: Vec<SubscriptionLag>,
 }
 
-/// Mirror of the engine's per-shard `IngressStats`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Per-shard ingress observability: what was staged onto the bounded
+/// ingress, what the drains admitted into dataflows, and how often
+/// admission hit the capacity bound. The engine counts into this struct
+/// directly (`cedr_core::IngressStats` is a re-export).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngressCounters {
+    /// Batches staged onto this shard's ingress queue.
     pub staged_batches: u64,
+    /// Messages inside those batches.
     pub staged_messages: u64,
+    /// Batches drained from the ingress into dataflows.
     pub admitted_batches: u64,
+    /// Messages delivered by those drains.
     pub admitted_messages: u64,
+    /// Times admission found this shard at capacity (blocking drains and
+    /// `try_*` rejections both count).
     pub backpressure_events: u64,
 }
 

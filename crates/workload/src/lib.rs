@@ -22,9 +22,9 @@
 //! * [`finance`] / [`machines`] — the paper's motivating domains
 //!   (Section 1's financial-services triple, Section 3.1's machine
 //!   monitoring) as seeded generators, used by the examples and the
-//!   figure benches.
-//! * [`metrics`] — the legacy denotational harness behind the Figure-8/9
-//!   benches: it drives a lowered plan directly (no engine, no
+//!   paper-figure regeneration in `cedr-bench`.
+//! * [`metrics`] — the denotational harness behind the regenerated
+//!   Figures 8/9: it drives a lowered plan directly (no engine, no
 //!   sessions) and computes the original blocking/state/output/accuracy
 //!   observables. New measurement code should prefer [`matrix`].
 //! * [`report`] — ASCII/CSV/markdown table rendering and the Figure-8
@@ -44,6 +44,6 @@ pub mod scenario;
 pub use finance::{MarketConfig, NewsConfig, PortfolioConfig};
 pub use machines::{MachineTrace, MachineWorkloadConfig};
 pub use matrix::{run_matrix, FamilyCell, LevelRun, MatrixReport, ScenarioResult};
-pub use metrics::{accuracy_f1, merge_scramble, run_experiment, Experiment, ExperimentResult};
+pub use metrics::{accuracy_f1, merge_scramble, run_experiment, ExperimentResult};
 pub use report::Table;
 pub use scenario::{gallery, ProducerScript, ScenarioConfig, ScenarioProfile, ScenarioTrace};

@@ -1,13 +1,15 @@
-//! The **legacy** denotational measurement harness behind the Figure-8/9
-//! benches. It pushes messages straight into a lowered plan's dataflow —
-//! no engine, no sessions, no channel — which keeps the figure benches
-//! fast and self-contained; new measurement code should prefer the
-//! engine-surface harness in [`crate::matrix`], which pins bit-identity
-//! across workers and fusion legs before measuring.
+//! The denotational measurement harness behind the paper-figure
+//! regeneration (`cedr-bench`'s `fig08`/`fig09`/`tab03`) and
+//! `tests/consistency_levels.rs`. It pushes messages straight into a
+//! lowered plan's dataflow — no engine, no sessions, no channel; new
+//! measurement code should prefer the engine-surface harness in
+//! [`crate::matrix`], which pins bit-identity across workers and fusion
+//! legs before measuring.
 //!
-//! An [`Experiment`] fixes a consistency spec and a delivery regime
-//! (orderliness); [`run_experiment`] scrambles each input stream, drives
-//! the plan to quiescence, and reports the paper's observables:
+//! [`run_experiment`] scrambles each input stream under a delivery
+//! regime (a [`DisorderConfig`]), drives the plan — lowered at the
+//! consistency spec under test — to quiescence, and reports the paper's
+//! observables:
 //!
 //! * **Blocking** — total and mean alignment-buffer residency (CEDR ticks);
 //! * **State size** — peak operator state across the plan;
@@ -16,16 +18,9 @@
 //!   (the weak level trades this away; strong/middle must score 1.0).
 
 use cedr_lang::LoweredPlan;
-use cedr_runtime::{ConsistencySpec, OpStats};
+use cedr_runtime::OpStats;
 use cedr_streams::{DisorderConfig, Message, StreamStats};
 use cedr_temporal::UniTemporalTable;
-
-/// One experimental cell: a consistency spec × a delivery regime.
-#[derive(Clone, Debug)]
-pub struct Experiment {
-    pub spec: ConsistencySpec,
-    pub disorder: DisorderConfig,
-}
 
 /// Measured outcomes.
 #[derive(Clone, Debug)]
@@ -133,17 +128,18 @@ pub fn merge_scramble(
     out
 }
 
-/// Run one experiment cell on the merged global timeline.
+/// Run one experiment cell — `plan` under the `disorder` delivery regime
+/// — on the merged global timeline.
 pub fn run_experiment(
     mut plan: LoweredPlan,
     streams: &[(String, Vec<Message>)],
-    exp: &Experiment,
+    disorder: &DisorderConfig,
 ) -> ExperimentResult {
     let routed: Vec<(usize, &[Message])> = streams
         .iter()
         .filter_map(|(ty, msgs)| plan.source_index(ty).map(|idx| (idx, msgs.as_slice())))
         .collect();
-    let merged = merge_scramble(&routed, &exp.disorder);
+    let merged = merge_scramble(&routed, disorder);
     for (src, msg) in merged {
         plan.dataflow.push_source(src, msg);
     }
@@ -185,6 +181,7 @@ mod tests {
     use super::*;
     use cedr_algebra::expr::Pred;
     use cedr_lang::{lower, Catalog, FieldType, LogicalOp};
+    use cedr_runtime::ConsistencySpec;
     use cedr_temporal::time::dur;
     use cedr_temporal::{Duration, EventId, Interval, Payload, TimePoint, UniTemporalRow, Value};
 
@@ -232,22 +229,8 @@ mod tests {
     #[test]
     fn strong_and_middle_agree_on_net_content() {
         let disorder = DisorderConfig::heavy(99, 120, 10);
-        let strong = run_experiment(
-            seq_plan(ConsistencySpec::strong()),
-            &streams(),
-            &Experiment {
-                spec: ConsistencySpec::strong(),
-                disorder: disorder.clone(),
-            },
-        );
-        let middle = run_experiment(
-            seq_plan(ConsistencySpec::middle()),
-            &streams(),
-            &Experiment {
-                spec: ConsistencySpec::middle(),
-                disorder,
-            },
-        );
+        let strong = run_experiment(seq_plan(ConsistencySpec::strong()), &streams(), &disorder);
+        let middle = run_experiment(seq_plan(ConsistencySpec::middle()), &streams(), &disorder);
         assert!(
             (accuracy_f1(&strong.sink_net, &middle.sink_net) - 1.0).abs() < 1e-9,
             "strong and middle must converge to the same net output"
@@ -265,18 +248,12 @@ mod tests {
         let ordered = run_experiment(
             seq_plan(ConsistencySpec::strong()),
             &streams(),
-            &Experiment {
-                spec: ConsistencySpec::strong(),
-                disorder: DisorderConfig::ordered(1),
-            },
+            &DisorderConfig::ordered(1),
         );
         let disordered = run_experiment(
             seq_plan(ConsistencySpec::strong()),
             &streams(),
-            &Experiment {
-                spec: ConsistencySpec::strong(),
-                disorder: DisorderConfig::heavy(1, 300, 25),
-            },
+            &DisorderConfig::heavy(1, 300, 25),
         );
         assert!(
             disordered.total.mean_blocking() > 2.0 * ordered.total.mean_blocking(),

@@ -8,7 +8,7 @@
 
 use cedr::core::prelude::*;
 use cedr::workload::machines::{self, MachineWorkloadConfig};
-use cedr::workload::metrics::{accuracy_f1, merge_scramble, run_experiment, Experiment};
+use cedr::workload::metrics::{accuracy_f1, merge_scramble, run_experiment};
 use cedr_bench_shim::*;
 
 /// Local reimplementation of the bench harness (the umbrella crate does not
@@ -52,14 +52,7 @@ fn disordered(seed: u64) -> DisorderConfig {
 #[test]
 fn strong_matches_ground_truth_without_repairs() {
     let (streams, expected) = workload();
-    let r = run_experiment(
-        plan(ConsistencySpec::strong()),
-        &streams,
-        &Experiment {
-            spec: ConsistencySpec::strong(),
-            disorder: disordered(1),
-        },
-    );
+    let r = run_experiment(plan(ConsistencySpec::strong()), &streams, &disordered(1));
     assert_eq!(r.sink_net.len(), expected);
     assert_eq!(r.output.retractions, 0, "strong never repairs");
     assert!(r.total.blocked_ticks > 0, "strong pays in blocking");
@@ -68,14 +61,7 @@ fn strong_matches_ground_truth_without_repairs() {
 #[test]
 fn middle_matches_ground_truth_with_repairs_and_no_blocking() {
     let (streams, expected) = workload();
-    let r = run_experiment(
-        plan(ConsistencySpec::middle()),
-        &streams,
-        &Experiment {
-            spec: ConsistencySpec::middle(),
-            disorder: disordered(1),
-        },
-    );
+    let r = run_experiment(plan(ConsistencySpec::middle()), &streams, &disordered(1));
     assert_eq!(r.sink_net.len(), expected);
     assert_eq!(r.total.blocked_ticks, 0, "middle never blocks");
     assert!(
@@ -90,23 +76,9 @@ fn strong_and_middle_are_logically_equivalent_across_seeds() {
     // logically equivalent outputs — here strong and middle on different
     // delivery orders of the same logical stream.
     let (streams, _) = workload();
-    let strong = run_experiment(
-        plan(ConsistencySpec::strong()),
-        &streams,
-        &Experiment {
-            spec: ConsistencySpec::strong(),
-            disorder: disordered(7),
-        },
-    );
+    let strong = run_experiment(plan(ConsistencySpec::strong()), &streams, &disordered(7));
     for seed in [11u64, 23, 37] {
-        let middle = run_experiment(
-            plan(ConsistencySpec::middle()),
-            &streams,
-            &Experiment {
-                spec: ConsistencySpec::middle(),
-                disorder: disordered(seed),
-            },
-        );
+        let middle = run_experiment(plan(ConsistencySpec::middle()), &streams, &disordered(seed));
         assert!(
             (accuracy_f1(&strong.sink_net, &middle.sink_net) - 1.0).abs() < 1e-12,
             "seed {seed}: outputs diverged"
@@ -122,10 +94,7 @@ fn weak_trades_accuracy_for_state_monotonically_in_m() {
     let reference = run_experiment(
         plan(ConsistencySpec::strong()),
         &streams,
-        &Experiment {
-            spec: ConsistencySpec::strong(),
-            disorder: DisorderConfig::ordered(1),
-        },
+        &DisorderConfig::ordered(1),
     )
     .sink_net;
     let mut prev_acc = -1.0f64;
@@ -136,14 +105,7 @@ fn weak_trades_accuracy_for_state_monotonically_in_m() {
         Duration::INFINITE,
     ] {
         let spec = ConsistencySpec::weak(m);
-        let r = run_experiment(
-            plan(spec),
-            &streams,
-            &Experiment {
-                spec,
-                disorder: disordered(3),
-            },
-        );
+        let r = run_experiment(plan(spec), &streams, &disordered(3));
         let acc = accuracy_f1(&r.sink_net, &reference);
         accs.push((m, acc));
         assert!(
@@ -169,14 +131,7 @@ fn blocking_grows_along_b_and_corners_bound_output() {
     let mut retractions = Vec::new();
     for b in [Duration::ZERO, Duration::hours(6), Duration::INFINITE] {
         let spec = ConsistencySpec::custom(b, Duration::INFINITE);
-        let r = run_experiment(
-            plan(spec),
-            &streams,
-            &Experiment {
-                spec,
-                disorder: disordered(3),
-            },
-        );
+        let r = run_experiment(plan(spec), &streams, &disordered(3));
         blocked.push(r.total.blocked_ticks);
         outputs.push(r.output.data_messages);
         retractions.push(r.output.retractions);

@@ -23,8 +23,10 @@
 //! biting-horizon Weak} × worker counts {1, 4}, over chains that exercise
 //! every stage family — including **partial fusion**, a chain broken by a
 //! stateful group-aggregate mid-pipeline that fuses on both sides of the
-//! break, and **type-confused runs**, where a union below a shared fused
-//! chain mixes differently-shaped payload layouts in one delivery run.
+//! break, **type-confused runs**, where a union below a shared fused
+//! chain mixes differently-shaped payload layouts in one delivery run,
+//! and **wide payloads**, where a string IN-list screen, arithmetic
+//! projections and a gate on the projected payload compose.
 
 use cedr::algebra::{DeltaFn, VsFn};
 use cedr::core::prelude::*;
@@ -434,5 +436,123 @@ fn type_confused_union_runs_share_one_fused_chain() {
                 "{level}/threads {threads}: compiled fused chain did not engage"
             );
         }
+    }
+}
+
+/// Payload-heavy chains: 8-field events (ints, floats, strings) screened
+/// by an 8-literal string IN-list (an `Or` chain whose later literals the
+/// compiled sweep masks to still-undecided rows) conjoined with a
+/// quantity band, projected through integer and float arithmetic, then
+/// gated on the *projected* payload — so the second select's kernel is
+/// composed through the projection. Compiled, interpreted and unfused
+/// tapes must agree bit for bit at every level, with the kernels engaged.
+#[test]
+fn wide_payload_in_list_chains_match_across_modes() {
+    const VENUE_POOL: [&str; 8] = [
+        "XADF", "XARC", "XBAT", "XBOS", "XCHI", "XCIS", "NYSE", "NASD",
+    ];
+    // Mostly non-matching, live venues last: the whole list is walked.
+    const VENUE_SCREEN: [&str; 8] = [
+        "XNGS", "XNYS", "XASE", "XPHL", "XPSX", "XBYX", "NYSE", "NASD",
+    ];
+    let tape: MessageBatch = {
+        let mut b = StreamBuilder::with_id_base(40_000);
+        for i in 0..600u64 {
+            let venue = VENUE_POOL[(i.wrapping_mul(2_654_435_761) >> 7) as usize % 8];
+            let e = b.insert(
+                Interval::new(t(i), t(i + 12)),
+                Payload::from_values(vec![
+                    Value::Int((i % 4) as i64),
+                    Value::Int(i as i64),
+                    Value::Float(i as f64 * 0.25),
+                    Value::str(venue),
+                    Value::Int((i % 100) as i64),
+                    Value::Float((i % 7) as f64 * 1.5),
+                    Value::Int((i * 31 % 997) as i64),
+                    Value::str("lot"),
+                ]),
+            );
+            if i % 16 == 0 {
+                b.retract(e.clone(), e.vs() + dur(6));
+            }
+        }
+        let ordered = b.build_ordered(Some(dur(50)), true);
+        cedr::streams::scramble(&ordered, &DisorderConfig::heavy(0x1D3, 20, 8))
+            .into_iter()
+            .collect()
+    };
+    let screen = VENUE_SCREEN
+        .iter()
+        .map(|s| Pred::cmp(Scalar::Field(3), CmpOp::Eq, Scalar::lit(*s)))
+        .reduce(|acc, p| Pred::Or(Box::new(acc), Box::new(p)))
+        .unwrap();
+    for (spec, level) in LEVELS {
+        let drive = |fuse: bool, compile: bool| {
+            let mut engine = Engine::with_config(
+                EngineConfig::serial()
+                    .with_fuse(fuse)
+                    .with_compile_kernels(compile),
+            );
+            engine.register_event_type(
+                "W_T",
+                vec![
+                    ("sym", FieldType::Int),
+                    ("px", FieldType::Int),
+                    ("ratio", FieldType::Float),
+                    ("venue", FieldType::Str),
+                    ("qty", FieldType::Int),
+                    ("fee", FieldType::Float),
+                    ("seq", FieldType::Int),
+                    ("tag", FieldType::Str),
+                ],
+            );
+            let plan = PlanBuilder::source("W_T")
+                .select(Pred::And(
+                    Box::new(screen.clone()),
+                    Box::new(Pred::cmp(Scalar::Field(4), CmpOp::Lt, Scalar::lit(60i64))),
+                ))
+                .project(
+                    vec![
+                        Scalar::Field(0),
+                        Scalar::Add(Box::new(Scalar::Field(1)), Box::new(Scalar::Field(6))),
+                        Scalar::Mul(Box::new(Scalar::Field(2)), Box::new(Scalar::Field(5))),
+                        Scalar::Field(3),
+                    ],
+                    vec!["sym".into(), "px_seq".into(), "cost".into(), "venue".into()],
+                )
+                .select(Pred::cmp(Scalar::Field(0), CmpOp::Eq, Scalar::lit(2i64)))
+                .slice_valid(t(5), t(660))
+                .into_plan();
+            let q = engine.register_plan("wide", plan, spec()).unwrap();
+            for chunk in tape.chunks_of(64) {
+                engine.enqueue_batch("W_T", &chunk).unwrap();
+                engine.run_to_quiescence();
+            }
+            engine.seal();
+            (engine, q)
+        };
+        let (unfused, q_u) = drive(false, false);
+        let (interp, q_i) = drive(true, false);
+        let (compiled, q_c) = drive(true, true);
+        let reference = unfused.collector(q_u).delta_log();
+        assert!(
+            !reference.is_empty(),
+            "{level}: the gate let nothing through"
+        );
+        assert_eq!(
+            reference,
+            interp.collector(q_i).delta_log(),
+            "{level}: interpreted wide tape diverged"
+        );
+        assert_eq!(
+            reference,
+            compiled.collector(q_c).delta_log(),
+            "{level}: compiled wide tape diverged"
+        );
+        assert!(
+            compiled.stats(q_c).compiled_kernel_runs > 0,
+            "{level}: compiled kernels did not engage"
+        );
+        assert_eq!(interp.stats(q_i).compiled_kernel_runs, 0);
     }
 }

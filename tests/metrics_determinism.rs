@@ -217,3 +217,54 @@ fn prometheus_exposition_is_valid_and_stable() {
     }
     assert_eq!(counts.len(), 1, "family count stable across modes");
 }
+
+/// Telemetry observes, it does not perturb: a run with the trace ring on
+/// and a full snapshot scraped after every round produces the same delta
+/// log, bit for bit, as a run with tracing off and no scrapes.
+#[test]
+fn tracing_and_scraping_do_not_perturb_the_tape() {
+    let run = |trace_capacity: usize| {
+        let mut engine =
+            Engine::with_config(EngineConfig::serial().with_trace_capacity(trace_capacity));
+        engine.register_event_type("E", vec![("Grp", FieldType::Int), ("Seq", FieldType::Int)]);
+        let filter = PlanBuilder::source("E")
+            .select(Pred::cmp(Scalar::Field(0), CmpOp::Gt, Scalar::lit(2i64)))
+            .project(vec![Scalar::Field(1)], vec!["Seq".into()])
+            .into_plan();
+        let agg = PlanBuilder::source("E")
+            .window(dur(40))
+            .group_aggregate(vec![Scalar::Field(0)], AggFunc::Count)
+            .into_plan();
+        let qs = [
+            engine
+                .register_plan("filter", filter, ConsistencySpec::strong())
+                .unwrap(),
+            engine
+                .register_plan("agg", agg, ConsistencySpec::middle())
+                .unwrap(),
+        ];
+        assert_eq!(engine.query_count(), qs.len());
+        for chunk in tape() {
+            engine.enqueue_batch("E", &chunk).unwrap();
+            engine.run_to_quiescence();
+            if trace_capacity > 0 {
+                assert_eq!(engine.metrics().counters.queries.len(), qs.len());
+            }
+        }
+        engine.seal();
+        (engine, qs)
+    };
+    let (off, qs_off) = run(0);
+    let (traced, qs_traced) = run(4_096);
+    assert!(!off.tracing() && off.trace_events().is_empty());
+    assert!(traced.tracing() && traced.metrics().trace.recorded > 0);
+    for (a, b) in qs_off.iter().zip(qs_traced.iter()) {
+        assert!(!off.collector(*a).delta_log().is_empty());
+        assert_eq!(
+            off.collector(*a).delta_log(),
+            traced.collector(*b).delta_log(),
+            "telemetry perturbed the tape of {}",
+            off.query_name(*a)
+        );
+    }
+}

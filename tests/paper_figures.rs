@@ -85,33 +85,3 @@ fn figure10_unitemporal_table() {
     assert_eq!(joined.len(), 1);
     assert_eq!(joined[0].interval, iv(4, 5));
 }
-
-#[test]
-fn figure_regeneration_binaries_produce_reports() {
-    // The fig01..fig10 binaries are thin wrappers over these functions;
-    // running them here keeps the regeneration path tested end to end.
-    assert!(cedr_bench_smoke::fig_smoke());
-}
-
-mod cedr_bench_smoke {
-    // cedr-bench is a workspace member but not a dependency of the umbrella
-    // crate; smoke-test equivalent logic through the public API instead.
-    use cedr::core::prelude::*;
-
-    pub fn fig_smoke() -> bool {
-        let mut engine = Engine::new();
-        engine.register_event_type("X", vec![("v", FieldType::Int)]);
-        let q = engine
-            .register_query(
-                "EVENT S WHEN SEQUENCE(X a, X b, 10 seconds)",
-                ConsistencySpec::middle(),
-            )
-            .unwrap();
-        let mut src = engine.source("X").unwrap();
-        src.insert(1, vec![Value::Int(1)]).unwrap();
-        src.insert(4, vec![Value::Int(2)]).unwrap();
-        drop(src);
-        engine.seal();
-        engine.collector(q).stats().inserts == 1
-    }
-}

@@ -32,12 +32,12 @@ use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Scalar;
 use cedr_algebra::relational::AggFunc;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Event, EventId, Interval, TimePoint, Value};
+use cedr_temporal::{Event, EventId, IdMap, Interval, TimePoint, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 #[derive(Default)]
 struct GroupState {
-    members: HashMap<EventId, Event>,
+    members: IdMap<Event>,
     /// Currently-emitted segments, keyed by start (maximal constant
     /// segments never share a start).
     emitted: BTreeMap<TimePoint, Event>,

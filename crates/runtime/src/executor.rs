@@ -4,17 +4,36 @@
 //!
 //! Plans are DAGs of [`OperatorShell`]s fed by named external sources.
 //! Execution is deterministic and scheduled a **batch at a time** rather
-//! than a message at a time: every node owns an input queue of
-//! `(port, message)` pairs; producers enqueue (an `Arc` refcount bump per
-//! subscriber — events are never deep-copied on fan-out) and
-//! [`Dataflow::run_to_quiescence`] drains nodes in topological order,
-//! handing each node its queued messages as maximal same-port runs via
-//! [`OperatorShell::push_batch`]. Draining upstream nodes before
-//! downstream ones means a node sees everything its producers emitted this
-//! round in one batch, amortising shell and module overhead across the run
-//! (see `OpStats::mean_batch_len`). Per-node FIFO order is identical to
-//! the historical message-at-a-time cascade, so operator semantics are
-//! unchanged.
+//! than a message at a time: a quiescence pass visits nodes in
+//! topological order and hands each node its input as maximal same-port
+//! **runs** via [`OperatorShell::push_batch`]. Draining upstream nodes
+//! before downstream ones means a node sees everything its producers
+//! emitted this round in one batch, amortising shell and module overhead
+//! across the run (see `OpStats::mean_batch_len`). Per-node FIFO order is
+//! identical to the historical message-at-a-time cascade, so operator
+//! semantics are unchanged.
+//!
+//! # Delivery borrows
+//!
+//! [`Dataflow::run_round`] is the round-at-a-time entry point, and on it
+//! a source message is never copied on its way to a shell: each node is
+//! handed the round's batches as `&[Message]` slices of the caller's own
+//! [`MessageBatch`]es — no per-subscriber clone, no queue hop. The run a
+//! shell receives may therefore *be* the producer's memory; a module
+//! that keeps a message clones it (an `Arc` bump, see
+//! [`crate::operator`]). A batch is copied into the node's queue only
+//! where the node's runs are not the round's batches: two adjacent
+//! batches on one port are one run, and one batch read on two ports is
+//! interleaved per message. [`Dataflow::enqueue_source_batch`] +
+//! [`Dataflow::run_to_quiescence`] stage and run at different times and
+//! so always copy; they are the same sweep with nothing borrowed, not a
+//! second scheduler, and `tests/round_equivalence.rs` holds the two to
+//! identical delta logs, statistics and image bytes.
+//!
+//! Between nodes, outputs travel as whole runs: a shell's output
+//! `Vec<Message>` is moved into its last subscriber's queue (cloned —
+//! one `Arc` bump per message — only for the others and for a collector
+//! that is not the sole consumer).
 //!
 //! # Scheduling
 //!
@@ -36,13 +55,17 @@
 //! stream that engine-level subscriptions drain incrementally, and the
 //! single store the temporal equivalence machinery (history tables, net
 //! tables) is folded from.
+//!
+//! Nothing here depends on a hash order: collectors and queues are
+//! indexed by node id, and a checkpoint image lists watched nodes
+//! ascending.
 
 use crate::consistency::ConsistencySpec;
 use crate::operator::{OperatorModule, OperatorShell};
 use crate::OpStats;
 use cedr_obs::{ObsHub, TraceEvent};
 use cedr_streams::{Collector, Message, MessageBatch, OutputDelta};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Identifies an operator node in a dataflow.
@@ -112,13 +135,11 @@ impl DataflowBuilder {
                 }
             }
         }
-        let collectors = watched
-            .iter()
-            .map(|&n| {
-                assert!(n < self.shells.len(), "cannot watch unknown node {n}");
-                (n, Collector::new())
-            })
-            .collect();
+        let mut collectors: Vec<Option<Collector>> = vec![None; self.shells.len()];
+        for &n in watched {
+            assert!(n < self.shells.len(), "cannot watch unknown node {n}");
+            collectors[n] = Some(Collector::new());
+        }
         let queues = vec![VecDeque::new(); self.shells.len()];
         Dataflow {
             nodes: self.shells,
@@ -136,16 +157,47 @@ impl DataflowBuilder {
 /// scheduler (see the module docs).
 pub struct Dataflow {
     nodes: Vec<OperatorShell>,
+    /// Per source: the `(node, port)` pairs reading it, ascending.
     source_subs: Vec<Vec<(NodeId, usize)>>,
     node_subs: Vec<Vec<(NodeId, usize)>>,
-    collectors: HashMap<NodeId, Collector>,
-    /// Per-node FIFO of `(port, message)` awaiting delivery.
-    queues: Vec<VecDeque<(usize, Message)>>,
+    /// Indexed by node id; `Some` for watched nodes.
+    collectors: Vec<Option<Collector>>,
+    /// Per-node FIFO of `(port, run)` awaiting delivery; adjacent runs are
+    /// never on the same port (see [`enqueue`]).
+    queues: Vec<VecDeque<(usize, Vec<Message>)>>,
     tick: u64,
     /// Observability hub + the query index this dataflow traces under.
     /// Never serialized (`state_snapshot` excludes it) and never read by
     /// scheduling decisions, so it cannot perturb bit-identity.
     obs: Option<(Arc<ObsHub>, u16)>,
+}
+
+/// Append `msgs` to a node's input queue: onto its last run when that run
+/// is on the same port, as a new run otherwise — so what the queue holds
+/// *is* the maximal same-port runs the node will be handed.
+fn enqueue(
+    queue: &mut VecDeque<(usize, Vec<Message>)>,
+    port: usize,
+    msgs: impl IntoIterator<Item = Message>,
+) {
+    match queue.back_mut() {
+        Some((last, run)) if *last == port => run.extend(msgs),
+        _ => queue.push_back((port, msgs.into_iter().collect())),
+    }
+}
+
+/// Copy a source batch into its subscribers' queues, message by message
+/// (a node reading the source on two ports sees them interleaved).
+fn enqueue_for(
+    queues: &mut [VecDeque<(usize, Vec<Message>)>],
+    subs: &[(NodeId, usize)],
+    batch: &[Message],
+) {
+    for m in batch {
+        for &(node, port) in subs {
+            enqueue(&mut queues[node], port, [m.clone()]);
+        }
+    }
 }
 
 impl Dataflow {
@@ -160,13 +212,14 @@ impl Dataflow {
     /// scheduler. Each subscriber receives an `Arc`-shared clone.
     pub fn enqueue_source(&mut self, source: usize, msg: Message) {
         self.tick += 1;
-        for &(node, port) in &self.source_subs[source] {
-            self.queues[node].push_back((port, msg.clone()));
-        }
+        enqueue_for(&mut self.queues, &self.source_subs[source], &[msg]);
     }
 
     /// Enqueue a whole batch to one source's subscribers without running
-    /// the scheduler.
+    /// the scheduler: every subscriber's queue receives an `Arc`-shared
+    /// clone of every message. [`Dataflow::run_round`] stages and runs a
+    /// round without these copies; this pair of calls remains for callers
+    /// that stage and run at different times.
     ///
     /// # Tick semantics
     ///
@@ -184,17 +237,21 @@ impl Dataflow {
             return;
         }
         self.tick += 1;
-        for m in batch {
-            for &(node, port) in &self.source_subs[source] {
-                self.queues[node].push_back((port, m.clone()));
-            }
-        }
+        enqueue_for(
+            &mut self.queues,
+            &self.source_subs[source],
+            batch.as_slice(),
+        );
     }
 
     /// One **pumped ingestion round**: stage every `(source, batch)` pair
-    /// of the round in order — each batch advancing the tick once, as in
-    /// [`Dataflow::enqueue_source_batch`] — then run a single quiescence
-    /// pass over the union.
+    /// of the round in order — each non-empty batch advancing the tick
+    /// once, as in [`Dataflow::enqueue_source_batch`] — then run a single
+    /// quiescence pass over the union. Execution is identical to calling
+    /// [`Dataflow::enqueue_source_batch`] per pair and then
+    /// [`Dataflow::run_to_quiescence`], but the batches are not copied
+    /// into the node queues: wherever a node's runs are exactly the
+    /// round's batches, it is handed those batches' own slices.
     ///
     /// This is the scheduler entry point for round-at-a-time drivers (the
     /// engine's ingress drain and channel pump): because the pass
@@ -204,26 +261,43 @@ impl Dataflow {
     /// thread timing that produced those rounds. An empty round still
     /// runs the (no-op) pass.
     pub fn run_round<'a>(&mut self, round: impl IntoIterator<Item = (usize, &'a MessageBatch)>) {
-        for (source, batch) in round {
-            self.enqueue_source_batch(source, batch);
-        }
-        self.run_to_quiescence();
+        let staged: Vec<(usize, &[Message])> = round
+            .into_iter()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(source, batch)| (source, batch.as_slice()))
+            .collect();
+        self.tick += staged.len() as u64;
+        self.sweep(&staged);
     }
 
-    /// Drain all node queues until the graph is quiet: one sweep driven by
-    /// a ready queue, an ordered worklist of nodes with pending input.
-    /// Edges only point forward, so popping the smallest dirty node
-    /// processes every producer before its consumers — by the time a node
-    /// runs it holds everything upstream emitted this round.
-    ///
-    /// Each node's drained input is delivered to its shell as **maximal
-    /// same-port runs** in arrival order (messages move into each run — no
-    /// re-clone); a watched node's outputs are appended to its collector's
-    /// delta log, then fanned out to the subscribers' queues.
+    /// Drain all node queues until the graph is quiet.
     pub fn run_to_quiescence(&mut self) {
+        self.sweep(&[]);
+    }
+
+    /// The one quiescence pass: a sweep driven by a ready queue, an
+    /// ordered worklist of nodes with pending input. Edges only point
+    /// forward, so popping the smallest dirty node processes every
+    /// producer before its consumers — by the time a node runs it holds
+    /// everything upstream emitted this round.
+    ///
+    /// A node's input is delivered to its shell as **maximal same-port
+    /// runs**: first the round's `staged` source batches it reads, then
+    /// what upstream nodes queued for it. A staged batch is handed over as
+    /// a borrowed slice — no clone, no queue — unless the node's runs are
+    /// not the batches themselves: two adjacent batches on one port are
+    /// one run, one batch on two ports is interleaved per message. Those
+    /// are materialised through the node's queue, as is the whole round
+    /// when input staged by [`Dataflow::enqueue_source_batch`] is still
+    /// waiting (it was enqueued first and must be delivered first).
+    ///
+    /// A watched node's outputs are appended to its collector's delta log
+    /// and moved (cloned only on fan-out) to its subscribers' queues.
+    fn sweep(&mut self, mut staged: &[(usize, &[Message])]) {
         let now = self.tick;
         let Dataflow {
             nodes,
+            source_subs,
             node_subs,
             collectors,
             queues,
@@ -233,14 +307,18 @@ impl Dataflow {
         let mut ready: BTreeSet<NodeId> = (0..nodes.len())
             .filter(|&n| !queues[n].is_empty())
             .collect();
+        if !ready.is_empty() {
+            for &(source, batch) in staged {
+                enqueue_for(queues, &source_subs[source], batch);
+            }
+            staged = &[];
+        }
+        for &(source, _) in staged {
+            ready.extend(source_subs[source].iter().map(|&(node, _)| node));
+        }
         while let Some(node) = ready.pop_first() {
-            let drained: Vec<(usize, Message)> = queues[node].drain(..).collect();
-            let mut input = drained.into_iter().peekable();
-            while let Some((port, first)) = input.next() {
-                let mut run = vec![first];
-                while input.peek().is_some_and(|(p, _)| *p == port) {
-                    run.push(input.next().expect("peeked").1);
-                }
+            let mut queued = std::mem::take(&mut queues[node]);
+            let mut deliver = |port: usize, run: &[Message]| {
                 if let Some((hub, query)) = obs {
                     hub.trace(|| TraceEvent::OperatorRun {
                         query: *query,
@@ -248,21 +326,66 @@ impl Dataflow {
                         batch_len: run.len().min(u32::MAX as usize) as u32,
                     });
                 }
-                let outs = nodes[node].push_batch(port, &run, now);
+                let outs = nodes[node].push_batch(port, run, now);
                 if outs.is_empty() {
-                    continue;
+                    return;
                 }
-                let outs = MessageBatch::from(outs);
-                if let Some(c) = collectors.get_mut(&node) {
-                    c.absorb_batch(&outs);
-                }
-                for &(next, next_port) in &node_subs[node] {
-                    for o in &outs {
-                        queues[next].push_back((next_port, o.clone()));
+                let subs = &node_subs[node];
+                if let Some(c) = &mut collectors[node] {
+                    if subs.is_empty() {
+                        c.push_all(outs);
+                        return;
                     }
-                    ready.insert(next);
+                    c.push_all(outs.iter().cloned());
                 }
+                let Some((&(last, last_port), rest)) = subs.split_last() else {
+                    return;
+                };
+                for &(next, next_port) in rest {
+                    enqueue(&mut queues[next], next_port, outs.iter().cloned());
+                }
+                enqueue(&mut queues[last], last_port, outs);
+                ready.extend(subs.iter().map(|&(next, _)| next));
+            };
+            // The ports this node reads `source` on, ascending.
+            let reads = |source: usize| {
+                let subs = source_subs[source].iter();
+                subs.filter_map(move |&(n, port)| (n == node).then_some(port))
+            };
+            // This node's share of the round, as `(port, staged index)` in
+            // staged order (a source read on two ports yields twice).
+            let feed = || {
+                let batches = staged.iter().enumerate();
+                batches.flat_map(|(i, &(source, _))| reads(source).map(move |port| (port, i)))
+            };
+            let mut borrow = true;
+            let mut prev = None;
+            for at in feed() {
+                borrow &= prev.is_none_or(|(port, i)| port != at.0 && i != at.1);
+                prev = Some(at);
             }
+            if borrow {
+                for (port, i) in feed() {
+                    deliver(port, staged[i].1);
+                }
+            } else {
+                // Source runs go first: upstream output was queued behind
+                // them when staging copied.
+                let mut sourced = VecDeque::new();
+                for &(source, batch) in staged {
+                    for m in batch {
+                        for port in reads(source) {
+                            enqueue(&mut sourced, port, [m.clone()]);
+                        }
+                    }
+                }
+                sourced.append(&mut queued);
+                queued = sourced;
+            }
+            for (port, run) in queued.drain(..) {
+                deliver(port, &run);
+            }
+            queues[node] = queued;
         }
     }
 
@@ -293,8 +416,8 @@ impl Dataflow {
 
     /// The collector attached to a watched node.
     pub fn collector(&self, node: NodeId) -> &Collector {
-        self.collectors
-            .get(&node)
+        self.collectors[node]
+            .as_ref()
             .expect("node is not watched; pass it to build()")
     }
 
@@ -349,14 +472,16 @@ impl Dataflow {
                 .map_err(|e| e.in_section(&format!("node {node}")))?;
             blob.encode(out);
         }
-        let mut watched: Vec<NodeId> = self.collectors.keys().copied().collect();
-        watched.sort_unstable();
-        (watched.len() as u64).encode(out);
-        for node in watched {
+        let watched = || {
+            let slots = self.collectors.iter().enumerate();
+            slots.filter_map(|(node, c)| Some((node, c.as_ref()?)))
+        };
+        (watched().count() as u64).encode(out);
+        for (node, collector) in watched() {
             (node as u64).encode(out);
             // Same wire layout as `Vec<OutputDelta>`, without cloning the
             // log into one.
-            let log = self.collectors[&node].delta_log();
+            let log = collector.delta_log();
             (log.len() as u64).encode(out);
             for delta in log {
                 delta.encode(out);
@@ -390,18 +515,18 @@ impl Dataflow {
                 .map_err(|e| e.in_section(&format!("node {node}")))?;
         }
         let watched = u64::decode(r)? as usize;
-        if watched != self.collectors.len() {
+        let plan_watched = self.collectors.iter().flatten().count();
+        if watched != plan_watched {
             return Err(cedr_durable::CodecError::new(format!(
-                "plan watches {} nodes, image has {watched}",
-                self.collectors.len()
+                "plan watches {plan_watched} nodes, image has {watched}"
             )));
         }
         for _ in 0..watched {
             let node = u64::decode(r)? as NodeId;
             let log = Vec::<OutputDelta>::decode(r)?;
-            match self.collectors.get_mut(&node) {
-                Some(c) => *c = Collector::from_deltas(log),
-                None => {
+            match self.collectors.get_mut(node) {
+                Some(Some(c)) => *c = Collector::from_deltas(log),
+                _ => {
                     return Err(cedr_durable::CodecError::new(format!(
                         "image watches node {node}, which the plan does not"
                     )))
@@ -594,6 +719,173 @@ mod tests {
         assert_eq!(r.stats(), a.stats());
         assert_eq!(r.max_cti(), a.max_cti());
         assert_eq!(image(&restored), after);
+    }
+
+    /// Pass-through module of any arity that records the `(port, ids)` of
+    /// every run it is handed.
+    struct Tap {
+        arity: usize,
+        runs: TapRuns,
+    }
+
+    type TapRuns = std::sync::Arc<std::sync::Mutex<Vec<(usize, Vec<u64>)>>>;
+
+    impl OperatorModule for Tap {
+        fn name(&self) -> &'static str {
+            "tap"
+        }
+        fn arity(&self) -> usize {
+            self.arity
+        }
+        fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut crate::OpContext) {
+            let ids = msgs.iter().filter_map(|m| Some(m.as_insert()?.id.0));
+            self.runs.lock().unwrap().push((input, ids.collect()));
+            for e in msgs.iter().filter_map(Message::as_insert) {
+                ctx.out.insert(e.clone());
+            }
+        }
+    }
+
+    fn inserts(ids: std::ops::Range<u64>) -> MessageBatch {
+        ids.map(|i| Message::insert(i, Interval::new(t(i), t(i + 4)), Payload::empty()))
+            .collect()
+    }
+
+    /// σ(true) on source 0 feeding port 0 of a two-port tap whose port 1
+    /// reads source 0 directly; both watched.
+    fn select_into_tap() -> (Dataflow, TapRuns) {
+        let runs = TapRuns::default();
+        let mut b = DataflowBuilder::new(1);
+        let sel = b.add_node(
+            Box::new(SelectOp::new(Pred::True)),
+            ConsistencySpec::middle(),
+            vec![Port::Source(0)],
+        );
+        let tap = Box::new(Tap {
+            arity: 2,
+            runs: std::sync::Arc::clone(&runs),
+        });
+        let tap = b.add_node(
+            tap,
+            ConsistencySpec::middle(),
+            vec![Port::Node(sel), Port::Source(0)],
+        );
+        (b.build(&[sel, tap]), runs)
+    }
+
+    fn image(df: &Dataflow) -> Vec<u8> {
+        let mut out = Vec::new();
+        df.state_snapshot(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn two_batches_of_one_source_in_one_round_are_one_run() {
+        let mut b = DataflowBuilder::new(1);
+        let sel = b.add_node(
+            Box::new(SelectOp::new(Pred::True)),
+            ConsistencySpec::middle(),
+            vec![Port::Source(0)],
+        );
+        let mut df = b.build(&[sel]);
+        let (first, second) = (inserts(0..3), inserts(3..8));
+        df.run_round([(0, &first), (0, &second)]);
+        assert_eq!(df.now(), 2, "each staged batch is one tick");
+        let stats = df.stats(sel);
+        assert_eq!(
+            (stats.batches, stats.batch_peak, stats.delivered),
+            (1, 8, 8)
+        );
+        assert_eq!(df.collector(sel).stats().inserts, 8);
+    }
+
+    #[test]
+    fn a_node_sees_its_source_run_before_its_upstream_run() {
+        let (mut round, round_runs) = select_into_tap();
+        let (mut staged, staged_runs) = select_into_tap();
+        let batch = inserts(0..3);
+        round.run_round([(0, &batch)]);
+        staged.enqueue_source_batch(0, &batch);
+        staged.run_to_quiescence();
+        let expected = vec![(1, vec![0, 1, 2]), (0, vec![0, 1, 2])];
+        assert_eq!(*round_runs.lock().unwrap(), expected);
+        assert_eq!(*staged_runs.lock().unwrap(), expected);
+        assert_eq!(image(&round), image(&staged));
+    }
+
+    #[test]
+    fn staging_ahead_of_a_round_is_delivered_ahead_of_it() {
+        // Input queued by `enqueue_source_batch` predates the round: the
+        // round's batch on the same port joins its run, behind it.
+        let (mut df, runs) = select_into_tap();
+        df.enqueue_source_batch(0, &inserts(0..2));
+        df.run_round([(0, &inserts(2..4))]);
+        assert_eq!(
+            *runs.lock().unwrap(),
+            vec![(1, vec![0, 1, 2, 3]), (0, vec![0, 1, 2, 3])]
+        );
+    }
+
+    #[test]
+    fn one_batch_on_two_ports_is_interleaved_per_message() {
+        let build = || {
+            let runs = TapRuns::default();
+            let mut b = DataflowBuilder::new(1);
+            let tap = Box::new(Tap {
+                arity: 2,
+                runs: std::sync::Arc::clone(&runs),
+            });
+            let tap = b.add_node(
+                tap,
+                ConsistencySpec::middle(),
+                vec![Port::Source(0), Port::Source(0)],
+            );
+            (b.build(&[tap]), runs)
+        };
+        let (mut round, round_runs) = build();
+        let (mut staged, staged_runs) = build();
+        let batch = inserts(0..2);
+        round.run_round([(0, &batch)]);
+        staged.enqueue_source_batch(0, &batch);
+        staged.run_to_quiescence();
+        let expected = vec![(0, vec![0]), (1, vec![0]), (0, vec![1]), (1, vec![1])];
+        assert_eq!(*round_runs.lock().unwrap(), expected);
+        assert_eq!(*staged_runs.lock().unwrap(), expected);
+        assert_eq!(image(&round), image(&staged));
+    }
+
+    #[test]
+    fn the_trace_ring_records_one_operator_run_per_run() {
+        let traced = |by_round: bool| {
+            let (mut df, _) = select_into_tap();
+            let hub = Arc::new(ObsHub::new(64));
+            df.set_obs(Arc::clone(&hub), 7);
+            let (first, second) = (inserts(0..3), inserts(3..5));
+            if by_round {
+                df.run_round([(0, &first), (0, &second)]);
+            } else {
+                df.enqueue_source_batch(0, &first);
+                df.enqueue_source_batch(0, &second);
+                df.run_to_quiescence();
+            }
+            let runs: Vec<(u16, u16, u32)> = hub
+                .trace_events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::OperatorRun {
+                        query,
+                        node,
+                        batch_len,
+                    } => Some((query, node, batch_len)),
+                    _ => None,
+                })
+                .collect();
+            (runs, image(&df))
+        };
+        let (runs, bytes) = traced(true);
+        // The select's merged source run, then the tap's: source first.
+        assert_eq!(runs, vec![(7, 0, 5), (7, 1, 5), (7, 1, 5)]);
+        assert_eq!((runs, bytes), traced(false));
     }
 
     #[test]

@@ -94,8 +94,8 @@ use crate::operator::{generation_id, OpContext, OperatorModule, OutputBuffer};
 use cedr_algebra::{DeltaFn, Pred, PredKernel, Scalar, ScalarKernel, VsFn};
 use cedr_streams::batch::{payload_columns_over_where, ColumnarView, MessageKind};
 use cedr_streams::Message;
-use cedr_temporal::{Event, EventId, Interval, Payload, PayloadColumns, TimePoint};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use cedr_temporal::{Event, EventId, IdMap, IdSet, Interval, Payload, PayloadColumns, TimePoint};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One stage of a fused pipeline: the IR the planner lowers the four
@@ -535,14 +535,14 @@ struct Boundary {
     /// Late inserts delivered since the last cleanup whose lifetimes
     /// already ended at or below `evict_watermark` — still alive in the
     /// shell's guard until the next flush. Normally empty.
-    recent: HashSet<EventId>,
+    recent: IdSet,
     /// Exact reorder-guard registry, kept only for forgetful specs where
     /// liveness is not derivable from the eviction watermark (an insert
     /// dropped at the horizon must swallow its later retraction even when
     /// that retraction's lifetime end clears `evict_watermark`).
-    seen: Option<HashMap<EventId, TimePoint>>,
+    seen: Option<IdMap<TimePoint>>,
     /// Chain generations of the upstream stage's shell (`finish` remap).
-    gens: HashMap<EventId, u64>,
+    gens: IdMap<u64>,
     /// Deliveries since the last flush cleanup — the shell's "pending
     /// non-empty" condition deciding whether a flush runs cleanup.
     dirty: bool,
@@ -557,9 +557,9 @@ impl Boundary {
             seq: 0,
             last_cti: None,
             evict_watermark: TimePoint::ZERO,
-            recent: HashSet::new(),
-            seen: forgetful.then(HashMap::new),
-            gens: HashMap::new(),
+            recent: IdSet::default(),
+            seen: forgetful.then(IdMap::default),
+            gens: IdMap::default(),
             dirty: false,
         }
     }
@@ -673,7 +673,7 @@ impl Boundary {
     fn state_size(&self) -> usize {
         self.align.len()
             + self.recent.len()
-            + self.seen.as_ref().map_or(0, HashMap::len)
+            + self.seen.as_ref().map_or(0, IdMap::len)
             + self.gens.len()
     }
 }

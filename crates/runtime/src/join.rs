@@ -18,13 +18,13 @@ use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::{Pred, Scalar};
 use cedr_algebra::idgen::idgen;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Event, EventId, Lineage, TimePoint, Value};
-use std::collections::{HashMap, HashSet};
+use cedr_temporal::{Event, EventId, IdMap, IdSet, Lineage, TimePoint, Value};
+use std::collections::HashMap;
 
 #[derive(Default)]
 struct SideState {
-    events: HashMap<EventId, Event>,
-    by_key: HashMap<Value, HashSet<EventId>>,
+    events: IdMap<Event>,
+    by_key: HashMap<Value, IdSet>,
 }
 
 impl SideState {

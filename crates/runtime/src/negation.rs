@@ -45,8 +45,8 @@
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Pred;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Duration, Event, EventId, Interval, Lineage, TimePoint};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use cedr_temporal::{Duration, Event, EventId, IdMap, IdSet, Interval, Lineage, TimePoint};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The negation scope.
@@ -60,7 +60,7 @@ pub enum NegationScope {
 
 struct Entry {
     e1: Event,
-    killers: HashSet<EventId>,
+    killers: IdSet,
     emitted: bool,
 }
 
@@ -70,15 +70,15 @@ pub struct NegationOp {
     scope: NegationScope,
     /// Predicate over `[e1, e2]` (predicate injection for negation).
     neg_pred: Pred,
-    entries: HashMap<EventId, Entry>,
+    entries: IdMap<Entry>,
     entries_by_vs: BTreeMap<(TimePoint, EventId), ()>,
     /// Candidates that are neither emitted nor killed — the only ones an
     /// advance can release. Derived from `entries` (rebuilt on restore,
     /// never persisted).
     pending: BTreeSet<(TimePoint, EventId)>,
-    e2s: HashMap<EventId, Event>,
+    e2s: IdMap<Event>,
     e2s_by_vs: BTreeMap<(TimePoint, EventId), ()>,
-    kill_index: HashMap<EventId, Vec<EventId>>,
+    kill_index: IdMap<Vec<EventId>>,
     /// Purge hint for the History scope: an upper bound on `Vs − Rt` of
     /// future candidates, allowing negator state to be bounded. `None`
     /// keeps negators until the memory horizon claims them (the paper notes
@@ -121,12 +121,12 @@ impl NegationOp {
         NegationOp {
             scope,
             neg_pred,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             entries_by_vs: BTreeMap::new(),
             pending: BTreeSet::new(),
-            e2s: HashMap::new(),
+            e2s: IdMap::default(),
             e2s_by_vs: BTreeMap::new(),
-            kill_index: HashMap::new(),
+            kill_index: IdMap::default(),
             max_history: None,
         }
     }
@@ -259,7 +259,7 @@ impl NegationOp {
             }
             let mut entry = Entry {
                 e1: event.clone(),
-                killers: HashSet::new(),
+                killers: IdSet::default(),
                 emitted: false,
             };
             // Known negators already in scope?
@@ -482,7 +482,7 @@ impl OperatorModule for NegationOp {
         for _ in 0..u64::decode(r)? {
             let id = EventId::decode(r)?;
             let e1 = Event::decode(r)?;
-            let killers: HashSet<EventId> = Vec::<EventId>::decode(r)?.into_iter().collect();
+            let killers: IdSet = Vec::<EventId>::decode(r)?.into_iter().collect();
             let emitted = bool::decode(r)?;
             self.entries_by_vs.insert((e1.vs(), id), ());
             if !emitted && killers.is_empty() {

@@ -70,11 +70,32 @@
 //! awaiting delivery (see [`OperatorShell::push_batch`]), so a collapsed
 //! group refresh — emitted at the end of its run — can never leak a
 //! guarantee past an undelivered negator or contributor.
+//!
+//! # What a module is handed, and what it may keep
+//!
+//! **Run boundaries** are the CTI-delimited segments of what the shell
+//! was pushed (for a blocking or forgetful spec: the same-input runs the
+//! alignment buffer releases). **Run memory** is borrowed: where the
+//! reorder guard has nothing to park or replay and the spec neither
+//! blocks nor forgets (Middle), `msgs` is a sub-slice of the batch the
+//! shell's caller holds — possibly the very `MessageBatch` a provider
+//! flushed, shared with every other subscribing query. A module
+//! therefore **clones what it keeps** (an `Arc` bump per event) and must
+//! not assume the slice outlives the call. The shell copies a run only
+//! when it edits it.
+//!
+//! **No map iteration order may reach an output or an image.** Every
+//! `EventId`-keyed map in this crate is a
+//! [`cedr_temporal::IdMap`]/[`IdSet`](cedr_temporal::IdSet) whose hash
+//! key is drawn once per process, so the order differs from run to run
+//! of the same binary: emission paths sort (by id, or by `(Vs, id)`),
+//! encoders write sorted keys, and the pinned tapes and images in
+//! `tests/` would move otherwise.
 
 use crate::consistency::ConsistencySpec;
 use crate::OpStats;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Duration, Event, TimePoint};
+use cedr_temporal::{Duration, Event, IdMap, TimePoint};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -229,6 +250,9 @@ pub trait OperatorModule: Send {
     /// `input`, already admitted by the consistency monitor and in
     /// delivery order. This is the only way a module receives input.
     ///
+    /// `msgs` may be a slice of the producer's own batch (see the module
+    /// docs): clone what must outlive the call.
+    ///
     /// Contract: `msgs` holds no CTIs (the monitor consumes them), and
     /// `ctx.watermark` is honest for the run as a whole — every input
     /// message with `Sync` below it has either been delivered in an
@@ -313,10 +337,10 @@ pub struct OperatorShell {
     /// arrives; the watermark proves abandoned orphans dead (the insert's
     /// sync is ≤ the retraction's, so once the watermark passes it the
     /// insert can no longer arrive).
-    seen_inserts: Vec<std::collections::HashMap<cedr_temporal::EventId, TimePoint>>,
-    orphans: Vec<std::collections::HashMap<cedr_temporal::EventId, Vec<Retraction>>>,
-    /// Messages admitted by the monitor but not yet delivered to the
-    /// module; drained into per-input runs by `flush_pending`.
+    seen_inserts: Vec<IdMap<TimePoint>>,
+    orphans: Vec<IdMap<Vec<Retraction>>>,
+    /// Messages the Strong/Weak monitor admitted but has not yet delivered
+    /// to the module; drained into per-input runs by `flush_pending`.
     pending: Vec<PendingDelivery>,
     out: OutputBuffer,
     stats: OpStats,
@@ -327,7 +351,7 @@ pub struct OperatorShell {
     /// Modules think in terms of their stable internal IDs; the shell
     /// rewrites re-inserted IDs to fresh per-generation identities so every
     /// downstream chain shrinks monotonically.
-    out_generations: std::collections::HashMap<cedr_temporal::EventId, u64>,
+    out_generations: IdMap<u64>,
 }
 
 /// An admitted message awaiting delivery to the operational module.
@@ -394,72 +418,97 @@ impl OperatorShell {
     /// returns the output state updates (with trailing output CTI if the
     /// guarantee advanced).
     ///
-    /// The consistency monitor admits messages one at a time (so
-    /// forgetting, alignment and watermark bookkeeping are exactly as in
-    /// the per-message path), but module delivery is batched: admitted
-    /// messages accumulate into per-input runs handed to
-    /// [`OperatorModule::on_batch`], and `on_advance`/output-CTI handling
-    /// run once per call instead of once per message. Each run's
-    /// `ctx.watermark` is capped by the sync of every message delivered
-    /// after it, so no module ever sees a guarantee that overtakes an
-    /// undelivered input.
+    /// The batch is cut at its CTIs into **segments**. The consistency
+    /// monitor admits a segment's messages one at a time (forgetting,
+    /// alignment and watermark bookkeeping are per message), module
+    /// delivery is per run (`deliver_run`), and
+    /// `on_advance`/output-CTI handling run once per guarantee change and
+    /// once at the end of the call. A spec that neither blocks nor forgets
+    /// (Middle) admits everything on arrival, so its segments go to the
+    /// module as sub-slices of `batch` itself; otherwise admitted messages
+    /// pass through the alignment buffer and are delivered from there.
     pub fn push_batch(&mut self, input: usize, batch: &[Message], now: u64) -> Vec<Message> {
         assert!(input < self.arity(), "input port out of range");
-        for msg in batch {
-            match msg {
-                Message::Cti(t) => {
-                    // Deliver everything admitted under the current
-                    // guarantee before the guarantee moves.
-                    self.flush_pending(now);
-                    let before = self.watermark;
-                    self.observe_cti(input, *t);
-                    self.release();
-                    self.flush_pending(now);
-                    // Give the module its watermark-change hook mid-batch
-                    // and forward the guarantee downstream *at its position
-                    // in the stream*: confirmation, state flushing and the
-                    // output CTI cadence must track the guarantee, not the
-                    // batch boundary — otherwise every consumer's state
-                    // grows with the batch instead of the live window.
-                    if self.watermark > before {
-                        self.advance_module();
-                        self.emit_cti();
-                    }
+        let direct = !self.spec.is_blocking() && !self.spec.is_forgetful();
+        for segment in batch.split_inclusive(|m| matches!(m, Message::Cti(_))) {
+            let (data, cti) = match segment.split_last() {
+                Some((Message::Cti(t), data)) => (data, Some(*t)),
+                _ => (segment, None),
+            };
+            if direct {
+                self.deliver_segment(input, data);
+            } else {
+                for msg in data {
+                    self.admit(input, msg, now);
                 }
-                data => {
-                    self.stats.arrivals += 1;
-                    let sync = data.sync();
-                    // Weak-consistency forgetting: below the memory horizon
-                    // the monitor drops the message outright.
-                    if self.spec.is_forgetful() && sync < self.spec.horizon(self.max_seen) {
-                        self.stats.forgotten += 1;
-                        continue;
-                    }
-                    self.max_seen = TimePoint::max_of(self.max_seen, sync);
-                    if self.spec.is_blocking() && sync >= self.watermark {
-                        self.align
-                            .insert((sync, self.seq), (input, data.clone(), now));
-                        self.seq += 1;
-                        self.stats.held_peak = self.stats.held_peak.max(self.align.len() as u64);
-                    } else {
-                        self.pending.push(PendingDelivery {
-                            input,
-                            msg: data.clone(),
-                            arrived: now,
-                        });
-                    }
-                    // A data arrival can advance `max_seen` past a finite
-                    // blocking deadline (first loop iteration breaks when
-                    // nothing is due).
-                    self.release();
+                // Deliver everything admitted under the current guarantee
+                // before the guarantee moves.
+                self.flush_pending(now);
+            }
+            if let Some(t) = cti {
+                let before = self.watermark;
+                self.observe_cti(input, t);
+                self.release();
+                self.flush_pending(now);
+                // Give the module its watermark-change hook mid-batch and
+                // forward the guarantee downstream *at its position in the
+                // stream*: confirmation, state flushing and the output CTI
+                // cadence must track the guarantee, not the batch boundary
+                // — otherwise every consumer's state grows with the batch
+                // instead of the live window.
+                if self.watermark > before {
+                    self.advance_module();
+                    self.emit_cti();
                 }
             }
         }
-        self.flush_pending(now);
         self.advance_module();
         self.emit_cti();
         self.module.on_round_end();
         self.finish()
+    }
+
+    /// The Middle route: a CTI-free segment is admitted whole (nothing is
+    /// forgotten, nothing waits) and delivered as the caller's own slice.
+    fn deliver_segment(&mut self, input: usize, data: &[Message]) {
+        if data.is_empty() {
+            return;
+        }
+        self.stats.arrivals += data.len() as u64;
+        for msg in data {
+            self.max_seen = TimePoint::max_of(self.max_seen, msg.sync());
+        }
+        self.deliver_run(input, data, TimePoint::INFINITY);
+        self.prune_guard();
+    }
+
+    /// Admit one data message through the consistency monitor: forget it,
+    /// hold it in the alignment buffer, or queue it for delivery.
+    fn admit(&mut self, input: usize, data: &Message, now: u64) {
+        self.stats.arrivals += 1;
+        let sync = data.sync();
+        // Weak-consistency forgetting: below the memory horizon the
+        // monitor drops the message outright.
+        if self.spec.is_forgetful() && sync < self.spec.horizon(self.max_seen) {
+            self.stats.forgotten += 1;
+            return;
+        }
+        self.max_seen = TimePoint::max_of(self.max_seen, sync);
+        if self.spec.is_blocking() && sync >= self.watermark {
+            self.align
+                .insert((sync, self.seq), (input, data.clone(), now));
+            self.seq += 1;
+            self.stats.held_peak = self.stats.held_peak.max(self.align.len() as u64);
+        } else {
+            self.pending.push(PendingDelivery {
+                input,
+                msg: data.clone(),
+                arrived: now,
+            });
+        }
+        // A data arrival can advance `max_seen` past a finite blocking
+        // deadline (first loop iteration breaks when nothing is due).
+        self.release();
     }
 
     /// Fold a CTI into the per-input watermarks and the combined guarantee.
@@ -516,92 +565,121 @@ impl OperatorShell {
         }
     }
 
-    /// Deliver the pending buffer to the module as per-input runs.
-    ///
-    /// Messages are grouped into maximal runs of consecutive same-input
-    /// entries (preserving admission order) and each run goes to the module
-    /// in one `on_batch` call. The run's watermark is
-    /// `min(effective watermark, sync of every pending message after the
-    /// run's first)` — capping by the run's *own* later messages as well as
-    /// later runs, because modules that handle a run one message at a time
-    /// must never show an early message a guarantee that overtakes an
-    /// undelivered sibling (e.g. its own still-queued removal, which under
-    /// Strong would turn a silent suppression into an emit-then-retract).
-    /// This matches runs-of-one delivery exactly for the run's first
-    /// message and is conservative for the rest; emissions a larger
-    /// watermark would have confirmed mid-run surface at the next
-    /// `on_advance`, which follows every flush.
+    /// Deliver the pending buffer (the Strong/Weak route) to the module:
+    /// maximal runs of consecutive same-input entries, in admission order,
+    /// each through `deliver_run`.
     fn flush_pending(&mut self, now: u64) {
         if self.pending.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending);
-        let base = self.effective_watermark();
-        let n = pending.len();
-        let mut suffix_min = vec![TimePoint::INFINITY; n + 1];
-        for i in (0..n).rev() {
-            suffix_min[i] = TimePoint::min_of(suffix_min[i + 1], pending[i].msg.sync());
+        let mut pending = std::mem::take(&mut self.pending);
+        // `later[k]`: the lowest sync among `pending[k..]`.
+        let mut later = vec![TimePoint::INFINITY; pending.len() + 1];
+        for (k, p) in pending.iter().enumerate().rev() {
+            later[k] = TimePoint::min_of(later[k + 1], p.msg.sync());
         }
         let mut run: Vec<Message> = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let input = pending[i].input;
-            let mut j = i;
-            while j < n && pending[j].input == input {
-                let p = &pending[j];
-                self.stats.released += 1;
-                let held = now.saturating_sub(p.arrived);
-                self.stats.blocked_ticks += held;
-                if held > 0 {
-                    self.stats.blocked_messages += 1;
-                }
-                match &p.msg {
-                    Message::Insert(e) => {
-                        self.seen_inserts[input].insert(e.id, e.interval.end);
-                        run.push(p.msg.clone());
-                        // Replay retractions that raced ahead of this
-                        // insert, directly after it in the same run.
-                        if let Some(mut parked) = self.orphans[input].remove(&e.id) {
-                            parked.sort_by_key(|r| std::cmp::Reverse(r.new_end));
-                            run.extend(parked.into_iter().map(Message::Retract));
-                        }
-                    }
-                    Message::Retract(r) => {
-                        if self.seen_inserts[input].contains_key(&r.event.id) {
-                            run.push(p.msg.clone());
-                        } else {
-                            self.orphans[input]
-                                .entry(r.event.id)
-                                .or_default()
-                                .push(r.clone());
-                        }
-                    }
-                    Message::Cti(_) => unreachable!("CTIs are handled by the monitor"),
-                }
-                j += 1;
-            }
-            if !run.is_empty() {
-                let watermark = TimePoint::min_of(base, suffix_min[i + 1]);
-                self.stats.batches += 1;
-                self.stats.delivered += run.len() as u64;
-                self.stats.batch_peak = self.stats.batch_peak.max(run.len() as u64);
-                let mut ctx = OpContext {
-                    spec: self.spec,
-                    watermark,
-                    max_seen: self.max_seen,
-                    effort: OpEffort::default(),
-                    out: &mut self.out,
-                };
-                self.module.on_batch(input, &run, &mut ctx);
-                let effort = ctx.effort;
-                self.absorb_effort(effort);
+        let mut run_input = pending[0].input;
+        for (k, p) in pending.drain(..).enumerate() {
+            if p.input != run_input {
+                self.deliver_run(run_input, &run, later[k]);
                 run.clear();
+                run_input = p.input;
             }
-            i = j;
+            let held = now.saturating_sub(p.arrived);
+            self.stats.blocked_ticks += held;
+            if held > 0 {
+                self.stats.blocked_messages += 1;
+            }
+            run.push(p.msg);
         }
-        // Guard bookkeeping dies with the watermark: an insert whose
-        // lifetime has ended cannot be retracted any more, and an orphan
-        // whose retraction sync is covered will never see its insert.
+        self.deliver_run(run_input, &run, TimePoint::INFINITY);
+        self.prune_guard();
+        self.pending = pending;
+    }
+
+    /// The one delivery routine: reorder guard, then `on_batch`.
+    ///
+    /// `msgs` is a non-empty same-input run of admitted data messages and
+    /// `later` the lowest sync among admitted messages queued behind it.
+    /// The run's watermark is `min(effective watermark, later, sync of
+    /// every message of the run after its first)` — capping by the run's
+    /// *own* later messages as well as later runs, because modules that
+    /// handle a run one message at a time must never show an early message
+    /// a guarantee that overtakes an undelivered sibling (e.g. its own
+    /// still-queued removal, which under Strong would turn a silent
+    /// suppression into an emit-then-retract). This matches runs-of-one
+    /// delivery exactly for the run's first message and is conservative
+    /// for the rest; emissions a larger watermark would have confirmed
+    /// mid-run surface at the next `on_advance`, which follows every
+    /// delivery.
+    ///
+    /// The module is handed `msgs` itself — the producer's memory, no
+    /// copy — unless the guard edits the run: a retraction ahead of its
+    /// insert is parked, a parked one is replayed directly after its
+    /// insert. Only then is the run materialised.
+    fn deliver_run(&mut self, input: usize, msgs: &[Message], later: TimePoint) {
+        let mut watermark = TimePoint::min_of(self.effective_watermark(), later);
+        let seen = &mut self.seen_inserts[input];
+        let orphans = &mut self.orphans[input];
+        let mut edited: Option<Vec<Message>> = None;
+        for (k, msg) in msgs.iter().enumerate() {
+            if k > 0 {
+                watermark = TimePoint::min_of(watermark, msg.sync());
+            }
+            match msg {
+                Message::Insert(e) => {
+                    seen.insert(e.id, e.interval.end);
+                    if let Some(run) = &mut edited {
+                        run.push(msg.clone());
+                    }
+                    // Replay retractions that raced ahead of this insert,
+                    // directly after it in the same run.
+                    if let Some(mut parked) = orphans.remove(&e.id) {
+                        parked.sort_by_key(|r| std::cmp::Reverse(r.new_end));
+                        edited
+                            .get_or_insert_with(|| msgs[..=k].to_vec())
+                            .extend(parked.into_iter().map(Message::Retract));
+                    }
+                }
+                Message::Retract(r) => {
+                    if seen.contains_key(&r.event.id) {
+                        if let Some(run) = &mut edited {
+                            run.push(msg.clone());
+                        }
+                    } else {
+                        edited.get_or_insert_with(|| msgs[..k].to_vec());
+                        orphans.entry(r.event.id).or_default().push(r.clone());
+                    }
+                }
+                Message::Cti(_) => unreachable!("CTIs are handled by the monitor"),
+            }
+        }
+        self.stats.released += msgs.len() as u64;
+        let run = edited.as_deref().unwrap_or(msgs);
+        if run.is_empty() {
+            return;
+        }
+        self.stats.batches += 1;
+        self.stats.delivered += run.len() as u64;
+        self.stats.batch_peak = self.stats.batch_peak.max(run.len() as u64);
+        let mut ctx = OpContext {
+            spec: self.spec,
+            watermark,
+            max_seen: self.max_seen,
+            effort: OpEffort::default(),
+            out: &mut self.out,
+        };
+        self.module.on_batch(input, run, &mut ctx);
+        let effort = ctx.effort;
+        self.absorb_effort(effort);
+    }
+
+    /// Guard bookkeeping dies with the watermark: an insert whose lifetime
+    /// has ended cannot be retracted any more, and an orphan whose
+    /// retraction sync is covered will never see its insert. Runs after
+    /// every delivery (one segment, or one flush of the pending buffer).
+    fn prune_guard(&mut self) {
         let watermark = self.effective_watermark();
         if watermark > TimePoint::ZERO {
             for input in 0..self.seen_inserts.len() {
@@ -974,44 +1052,236 @@ mod tests {
         assert_eq!(out.last().unwrap().as_cti(), Some(t(6)));
     }
 
+    /// One `on_batch` call as the module saw it: the port, each message as
+    /// `(id, sync)` (an insert's sync is its `Vs`, a retraction's its new
+    /// end), the run's watermark and the address the slice lives at.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Run {
+        input: usize,
+        msgs: Vec<(u64, TimePoint)>,
+        watermark: TimePoint,
+        at: usize,
+    }
+
+    type Runs = Arc<std::sync::Mutex<Vec<Run>>>;
+
+    /// Two-port module that records every delivery run and emits nothing.
+    struct Probe(Runs);
+
+    impl OperatorModule for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn arity(&self) -> usize {
+            2
+        }
+        fn on_batch(&mut self, input: usize, msgs: &[Message], ctx: &mut OpContext) {
+            let id = |m: &Message| match m {
+                Message::Insert(e) => e.id.0,
+                Message::Retract(r) => r.event.id.0,
+                Message::Cti(_) => unreachable!("CTIs are consumed by the monitor"),
+            };
+            self.0.lock().unwrap().push(Run {
+                input,
+                msgs: msgs.iter().map(|m| (id(m), m.sync())).collect(),
+                watermark: ctx.watermark,
+                at: msgs.as_ptr() as usize,
+            });
+        }
+    }
+
+    fn probe_shell(spec: ConsistencySpec) -> (OperatorShell, Runs) {
+        let runs = Runs::default();
+        let shell = OperatorShell::new(Box::new(Probe(runs.clone())), spec);
+        (shell, runs)
+    }
+
+    fn ret(id: u64, vs: u64, new_end: u64) -> Message {
+        Message::retract_event(
+            Event::primitive(EventId(id), iv(vs, vs + 10), Payload::empty()),
+            t(new_end),
+        )
+    }
+
+    /// Feed `calls` — `(tick, batch)` pairs on port 0 — once batch by batch
+    /// and once message by message on the same ticks; both shells must
+    /// show the module the same messages in the same order. Returns the
+    /// batched shell's stats and runs, and the per-message shell's stats.
+    fn batched_and_per_message(
+        spec: ConsistencySpec,
+        calls: &[(u64, &[Message])],
+    ) -> (OpStats, Vec<Run>, OpStats) {
+        let (mut batched, runs) = probe_shell(spec);
+        let (mut single, single_runs) = probe_shell(spec);
+        // Port 1 is sealed, so port 0 alone sets the guarantee.
+        batched.push(1, Message::Cti(TimePoint::INFINITY), 0);
+        single.push(1, Message::Cti(TimePoint::INFINITY), 0);
+        for &(now, batch) in calls {
+            batched.push_batch(0, batch, now);
+            for m in batch {
+                single.push(0, m.clone(), now);
+            }
+        }
+        let flat = |runs: &Runs| -> Vec<(u64, TimePoint)> {
+            let runs = runs.lock().unwrap();
+            runs.iter().flat_map(|r| r.msgs.clone()).collect()
+        };
+        assert_eq!(flat(&runs), flat(&single_runs), "delivery order");
+        let runs = runs.lock().unwrap().clone();
+        (batched.stats().clone(), runs, single.stats().clone())
+    }
+
     #[test]
     fn run_watermark_never_overtakes_undelivered_messages() {
-        use std::sync::{Arc as StdArc, Mutex};
-
-        /// Records the watermark each delivery run was handed.
-        struct Probe {
-            seen: StdArc<Mutex<Vec<(usize, TimePoint)>>>,
-        }
-        impl OperatorModule for Probe {
-            fn name(&self) -> &'static str {
-                "probe"
-            }
-            fn arity(&self) -> usize {
-                2
-            }
-            fn on_batch(&mut self, input: usize, _msgs: &[Message], ctx: &mut OpContext) {
-                self.seen.lock().unwrap().push((input, ctx.watermark));
-            }
-        }
-
-        let seen = StdArc::new(Mutex::new(Vec::new()));
-        let mut s = OperatorShell::new(
-            Box::new(Probe { seen: seen.clone() }),
-            ConsistencySpec::strong(),
-        );
+        let (mut s, runs) = probe_shell(ConsistencySpec::strong());
         // Two aligned inserts on different ports; the guarantee then jumps
         // past both at once.
         s.push(0, ins(1, 5), 0);
         s.push(1, ins(2, 6), 1);
         s.push(0, Message::Cti(t(10)), 2);
         s.push(1, Message::Cti(t(10)), 3);
-        let seen = seen.lock().unwrap();
+        let seen: Vec<(usize, TimePoint)> = runs
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| (r.input, r.watermark))
+            .collect();
         assert_eq!(
-            *seen,
+            seen,
             vec![(0, t(6)), (1, t(10))],
             "the first run's watermark must be capped by the undelivered \
              sync-6 message behind it"
         );
+    }
+
+    #[test]
+    fn a_retraction_ahead_of_its_insert_is_replayed_inside_the_segment() {
+        // Under CTI(50): the removal of event 1 arrives before event 1.
+        let batch = [ret(1, 60, 64), ins(1, 60), ins(2, 70)];
+        let (stats, runs, single) = batched_and_per_message(
+            ConsistencySpec::middle(),
+            &[(0, &[Message::Cti(t(50))]), (1, &batch)],
+        );
+        assert_eq!(runs.len(), 1, "one segment, one run");
+        assert_eq!(
+            runs[0].msgs,
+            vec![(1, t(60)), (1, t(64)), (2, t(70))],
+            "the parked retraction follows its insert"
+        );
+        assert_eq!(runs[0].watermark, t(50));
+        assert_ne!(
+            runs[0].at,
+            batch.as_ptr() as usize,
+            "an edited run is a copy"
+        );
+        assert_eq!((stats.batches, stats.batch_peak), (1, 3));
+        assert_eq!((stats.released, stats.delivered), (3, 3));
+        assert_eq!((single.released, single.delivered), (3, 3));
+        assert_eq!(
+            single.batches, 2,
+            "per message: [ins 1, ret 1], then [ins 2]"
+        );
+    }
+
+    #[test]
+    fn a_parked_retraction_still_caps_the_run_watermark() {
+        // Late data under CTI(50): the insert at 60 is followed by an
+        // orphan retraction whose sync is 30. It is parked, not delivered,
+        // and the run's guarantee must still not overtake it.
+        let batch = [ins(1, 60), ret(9, 25, 30)];
+        let (_, runs, _) = batched_and_per_message(
+            ConsistencySpec::middle(),
+            &[(0, &[Message::Cti(t(50))]), (1, &batch)],
+        );
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].msgs, vec![(1, t(60))]);
+        assert_eq!(runs[0].watermark, t(30));
+    }
+
+    #[test]
+    fn orphans_parked_by_an_earlier_batch_replay_mid_segment_latest_end_first() {
+        let early = [ret(2, 20, 23), ret(2, 20, 27)];
+        let batch = [ins(1, 10), ins(2, 20), ins(3, 30)];
+        let (stats, runs, single) =
+            batched_and_per_message(ConsistencySpec::middle(), &[(0, &early), (1, &batch)]);
+        assert_eq!(runs.len(), 1, "the all-parked batch reached no module");
+        assert_eq!(
+            runs[0].msgs,
+            vec![(1, t(10)), (2, t(20)), (2, t(27)), (2, t(23)), (3, t(30))],
+            "directly after the insert, in descending new end"
+        );
+        assert_eq!((stats.released, stats.delivered, stats.batches), (5, 5, 1));
+        assert_eq!((single.released, single.delivered), (5, 5));
+    }
+
+    #[test]
+    fn a_cti_mid_batch_splits_two_segments_and_clean_segments_are_not_copied() {
+        let batch = [
+            ins(1, 1),
+            ins(2, 2),
+            ret(1, 1, 6),
+            Message::Cti(t(5)),
+            ins(3, 6),
+            ins(4, 4),
+        ];
+        let (stats, runs, _) = batched_and_per_message(ConsistencySpec::middle(), &[(0, &batch)]);
+        assert_eq!(
+            runs.len(),
+            2,
+            "delivery runs are the CTI-delimited segments"
+        );
+        assert_eq!(runs[0].msgs, vec![(1, t(1)), (2, t(2)), (1, t(6))]);
+        assert_eq!(runs[1].msgs, vec![(3, t(6)), (4, t(4))]);
+        // The guard neither parked nor replayed: the module was handed the
+        // caller's own memory, twice.
+        assert_eq!(runs[0].at, batch[..3].as_ptr() as usize);
+        assert_eq!(runs[1].at, batch[4..].as_ptr() as usize);
+        // Before the CTI nothing is guaranteed; after it the late sync-4
+        // insert behind the segment's first message caps the guarantee.
+        assert_eq!(runs[0].watermark, TimePoint::ZERO);
+        assert_eq!(runs[1].watermark, t(4));
+        assert_eq!((stats.batches, stats.batch_peak, stats.out_ctis), (2, 3, 1));
+    }
+
+    #[test]
+    fn strong_still_aligns_and_weak_still_forgets_per_message() {
+        // The same shapes as above, through the alignment buffer: held at
+        // tick 0, released in sync order by the guarantee at tick 3.
+        let batch = [ret(1, 60, 64), ins(1, 60), ins(2, 55), ins(3, 70)];
+        let (stats, runs, single) = batched_and_per_message(
+            ConsistencySpec::strong(),
+            &[(0, &batch), (3, &[Message::Cti(t(100))])],
+        );
+        assert_eq!(runs.len(), 1);
+        assert_eq!(
+            runs[0].msgs,
+            vec![(2, t(55)), (1, t(60)), (1, t(64)), (3, t(70))]
+        );
+        assert_eq!(runs[0].watermark, t(60), "capped by the run's own tail");
+        for s in [&stats, &single] {
+            assert_eq!(
+                (s.held_peak, s.blocked_messages, s.blocked_ticks),
+                (4, 4, 12)
+            );
+            assert_eq!((s.released, s.delivered, s.forgotten), (4, 4, 0));
+        }
+
+        // Weak with M = 10: the sync-50 insert and the sync-64 retraction
+        // fall below the horizon the sync-100 insert opened.
+        let batch = [ins(1, 100), ins(2, 50), ret(3, 60, 64), ins(4, 95)];
+        let (stats, runs, single) =
+            batched_and_per_message(ConsistencySpec::weak(dur(10)), &[(0, &batch)]);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].msgs, vec![(1, t(100)), (4, t(95))]);
+        assert_ne!(
+            runs[0].at,
+            batch.as_ptr() as usize,
+            "forgetful specs deliver from the pending buffer"
+        );
+        for s in [&stats, &single] {
+            assert_eq!((s.arrivals, s.forgotten, s.released), (4, 2, 2));
+            assert_eq!(s.blocked_ticks, 0);
+        }
     }
 
     #[test]

@@ -51,8 +51,10 @@ use cedr_algebra::idgen::idgen;
 use cedr_algebra::pattern::{apply_sc_modes, atleast_matches, sequence_matches, ScMode};
 use cedr_algebra::EventSet;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Duration, Event, EventId, Interval, Lineage, Payload, TimePoint};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use cedr_temporal::{
+    Duration, Event, EventId, IdMap, IdSet, Interval, Lineage, Payload, TimePoint,
+};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 type SlotMap = BTreeMap<(TimePoint, EventId), Event>;
@@ -115,8 +117,8 @@ fn slots_as_sets(slots: &[SlotMap]) -> Vec<EventSet> {
 /// Emission order is deterministic — retractions in ascending output-ID
 /// order, then inserts in enumeration order — never hash-iteration order:
 /// operator output must be a pure function of delivered input.
-fn diff_emitted(emitted: &mut HashMap<EventId, Event>, desired: Vec<Event>, ctx: &mut OpContext) {
-    let desired_ids: HashSet<EventId> = desired.iter().map(|e| e.id).collect();
+fn diff_emitted(emitted: &mut IdMap<Event>, desired: Vec<Event>, ctx: &mut OpContext) {
+    let desired_ids: IdSet = desired.iter().map(|e| e.id).collect();
     let mut stale: Vec<Event> = emitted
         .iter()
         .filter(|(id, _)| !desired_ids.contains(id))
@@ -128,7 +130,7 @@ fn diff_emitted(emitted: &mut HashMap<EventId, Event>, desired: Vec<Event>, ctx:
     }
     // Clone only the freshly-inserted events; the rest move into the new
     // emitted map untouched.
-    let mut next: HashMap<EventId, Event> = HashMap::with_capacity(desired.len());
+    let mut next: IdMap<Event> = IdMap::with_capacity_and_hasher(desired.len(), Default::default());
     for e in desired {
         if !emitted.contains_key(&e.id) && !next.contains_key(&e.id) {
             ctx.out.insert(e.clone());
@@ -145,8 +147,8 @@ pub struct SequenceOp {
     modes: Vec<ScMode>,
     restrictive: bool,
     slots: Vec<SlotMap>,
-    emitted: HashMap<EventId, Event>,
-    by_contrib: HashMap<EventId, Vec<EventId>>,
+    emitted: IdMap<Event>,
+    by_contrib: IdMap<Vec<EventId>>,
 }
 
 impl SequenceOp {
@@ -164,8 +166,8 @@ impl SequenceOp {
             modes,
             restrictive,
             slots: vec![SlotMap::new(); k],
-            emitted: HashMap::new(),
-            by_contrib: HashMap::new(),
+            emitted: IdMap::default(),
+            by_contrib: IdMap::default(),
         }
     }
 
@@ -333,7 +335,7 @@ impl OperatorModule for SequenceOp {
         if self.restrictive {
             // Flush silently: matches involving purged contributors are
             // final (no retraction for them can arrive any more).
-            let purged_set: HashSet<EventId> = purged.iter().copied().collect();
+            let purged_set: IdSet = purged.iter().copied().collect();
             self.emitted
                 .retain(|_, out| !out.lineage.0.iter().any(|c| purged_set.contains(c)));
             return;
@@ -417,7 +419,7 @@ fn decode_slots(
     Ok(())
 }
 
-fn encode_emitted(emitted: &HashMap<EventId, Event>, out: &mut Vec<u8>) {
+fn encode_emitted(emitted: &IdMap<Event>, out: &mut Vec<u8>) {
     use cedr_durable::Persist;
     let mut entries: Vec<(EventId, Event)> =
         emitted.iter().map(|(&id, e)| (id, e.clone())).collect();
@@ -427,7 +429,7 @@ fn encode_emitted(emitted: &HashMap<EventId, Event>, out: &mut Vec<u8>) {
 
 fn decode_emitted(
     r: &mut cedr_durable::Reader<'_>,
-) -> Result<HashMap<EventId, Event>, cedr_durable::CodecError> {
+) -> Result<IdMap<Event>, cedr_durable::CodecError> {
     use cedr_durable::Persist;
     Ok(Vec::<(EventId, Event)>::decode(r)?.into_iter().collect())
 }
@@ -443,7 +445,7 @@ pub struct AtLeastOp {
     pred: Pred,
     modes: Vec<ScMode>,
     slots: Vec<SlotMap>,
-    emitted: HashMap<EventId, Event>,
+    emitted: IdMap<Event>,
 }
 
 impl AtLeastOp {
@@ -460,7 +462,7 @@ impl AtLeastOp {
             pred,
             modes,
             slots: vec![SlotMap::new(); k],
-            emitted: HashMap::new(),
+            emitted: IdMap::default(),
         }
     }
 
@@ -505,7 +507,7 @@ impl OperatorModule for AtLeastOp {
         if bound == TimePoint::ZERO {
             return;
         }
-        let mut purged: HashSet<EventId> = HashSet::new();
+        let mut purged = IdSet::default();
         for slot in &mut self.slots {
             while let Some((&(vs, id), _)) = slot.iter().next() {
                 if vs < bound {
@@ -717,11 +719,11 @@ mod tests {
             first.push(late);
         }
         let expected = cedr_algebra::pattern::sequence(&[first, middle, last], dur(100), &pred);
-        let got: HashSet<EventId> = emitted
+        let got: IdSet = emitted
             .iter()
             .filter_map(|m| m.as_insert().map(|e| e.id))
             .collect();
-        let want: HashSet<EventId> = expected.iter().map(|e| e.id).collect();
+        let want: IdSet = expected.iter().map(|e| e.id).collect();
         assert_eq!(got.len(), 14);
         assert_eq!(got, want);
     }
@@ -778,11 +780,11 @@ mod tests {
             emitted.extend(s.push(1, Message::insert_event(e.clone()), (10 + i) as u64));
         }
         let expected = cedr_algebra::pattern::sequence(&[e1s, e2s], dur(7), &Pred::True);
-        let got: HashSet<EventId> = emitted
+        let got: IdSet = emitted
             .iter()
             .filter_map(|m| m.as_insert().map(|e| e.id))
             .collect();
-        let want: HashSet<EventId> = expected.iter().map(|e| e.id).collect();
+        let want: IdSet = expected.iter().map(|e| e.id).collect();
         assert_eq!(got, want);
     }
 
@@ -837,11 +839,11 @@ mod tests {
             .iter()
             .filter_map(|m| m.as_retract().map(|r| r.event.id))
             .collect();
-        let net: HashSet<EventId> = inserts
+        let net: IdSet = inserts
             .into_iter()
             .filter(|id| !retracts.contains(id))
             .collect();
-        let expected: HashSet<EventId> = cedr_algebra::pattern::atleast(
+        let expected: IdSet = cedr_algebra::pattern::atleast(
             2,
             &[vec![pt(1, 1)], vec![pt(2, 2)], vec![pt(3, 3)]],
             dur(10),

@@ -112,14 +112,6 @@ impl Collector {
         }
     }
 
-    /// Ingest every message of a batch. Events stay shared with the batch
-    /// (`Arc` clones).
-    pub fn absorb_batch(&mut self, batch: &crate::batch::MessageBatch) {
-        for m in batch {
-            self.push(m.clone());
-        }
-    }
-
     /// The tritemporal history table of the stream so far, folded from the
     /// delta log: one row per data delta (an insert's lifetime, a
     /// retraction's shortened lifetime), stamped with its CEDR time.

@@ -14,8 +14,11 @@ use crate::interval::Interval;
 use crate::time::TimePoint;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// An event identity.
 ///
@@ -35,6 +38,74 @@ impl fmt::Debug for EventId {
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "e{:x}", self.0)
+    }
+}
+
+/// A hash map keyed by [`EventId`], over [`IdHashBuilder`]. Iteration
+/// order is arbitrary and differs from process to process: sort before
+/// anything reaches an output or a checkpoint image.
+pub type IdMap<V> = HashMap<EventId, V, IdHashBuilder>;
+
+/// A hash set of [`EventId`]s; see [`IdMap`].
+pub type IdSet = HashSet<EventId, IdHashBuilder>;
+
+/// Builds [`IdHasher`]s, all keyed with the one secret drawn per process
+/// from `std`'s `RandomState` — so a provider that chooses its own event
+/// ids still cannot aim them at one bucket.
+#[derive(Clone, Copy, Debug)]
+pub struct IdHashBuilder {
+    key: u64,
+    mul: u64,
+}
+
+impl Default for IdHashBuilder {
+    fn default() -> Self {
+        static SECRET: OnceLock<(u64, u64)> = OnceLock::new();
+        let (key, mul) = *SECRET.get_or_init(|| {
+            let random = RandomState::new();
+            (random.hash_one(0u64), random.hash_one(1u64) | 1)
+        });
+        IdHashBuilder { key, mul }
+    }
+}
+
+impl BuildHasher for IdHashBuilder {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            key: self.key,
+            mul: self.mul,
+            hash: 0,
+        }
+    }
+}
+
+/// One folded 64×64→128 multiply per `u64` written — an [`EventId`] is
+/// already a mixed 64-bit word, so SipHash's thirteen rounds buy nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct IdHasher {
+    key: u64,
+    mul: u64,
+    hash: u64,
+}
+
+impl Hasher for IdHasher {
+    fn write_u64(&mut self, x: u64) {
+        let wide = u128::from(x ^ self.hash ^ self.key) * u128::from(self.mul);
+        self.hash = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 

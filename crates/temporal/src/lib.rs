@@ -35,7 +35,7 @@ pub use columns::{Column, PayloadColumns};
 pub use equivalence::{
     logically_equivalent, logically_equivalent_at, logically_equivalent_to, EquivalenceOptions,
 };
-pub use event::{ChainKey, Event, EventId, Lineage, Payload};
+pub use event::{ChainKey, Event, EventId, IdMap, IdSet, Lineage, Payload};
 pub use history::{AnnotatedRow, HistoryRow, HistoryTable};
 pub use interval::Interval;
 pub use sync::{is_sync_point, sync_points, SyncPoint};
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::equivalence::{
         logically_equivalent, logically_equivalent_at, logically_equivalent_to, EquivalenceOptions,
     };
-    pub use crate::event::{ChainKey, Event, EventId, Lineage, Payload};
+    pub use crate::event::{ChainKey, Event, EventId, IdMap, IdSet, Lineage, Payload};
     pub use crate::history::{AnnotatedRow, HistoryRow, HistoryTable};
     pub use crate::interval::Interval;
     pub use crate::sync::{is_sync_point, sync_points, SyncPoint};

@@ -28,6 +28,7 @@
 use crate::metrics::accuracy_f1;
 use crate::scenario::{ScenarioConfig, ScenarioProfile, ScenarioTrace, SCENARIO_TYPES};
 use cedr_core::prelude::*;
+use cedr_lang::LogicalOp;
 use cedr_temporal::UniTemporalTable;
 
 /// The consistency levels of the matrix. Weak gets a horizon of
@@ -54,15 +55,10 @@ pub const LEGS: [(&str, usize, bool, bool); 4] = [
     ("interpreted", 1, true, false),
 ];
 
-/// Register the five-family query catalog against a fresh engine.
-pub fn register_families(
-    engine: &mut Engine,
-    spec: ConsistencySpec,
-    span: u64,
-) -> Vec<(&'static str, QueryId)> {
-    for ty in SCENARIO_TYPES {
-        engine.register_event_type(ty, vec![("key", FieldType::Int), ("seq", FieldType::Int)]);
-    }
+/// The five-family query catalog as logical plans, in [`FAMILIES`] order:
+/// windows are `span / 4` (aggregate, sequence) and `span / 8`
+/// (negation).
+pub fn family_plans(span: u64) -> Vec<(&'static str, LogicalOp)> {
     let w = dur((span / 4).max(1));
     let key_eq = || Pred::cmp(Scalar::Of(0, 0), CmpOp::Eq, Scalar::Of(1, 0));
     let stateless = PlanBuilder::source("SCN_A")
@@ -92,21 +88,33 @@ pub fn register_families(
             Pred::True,
         )
         .into_plan();
-    [
+    vec![
         ("stateless", stateless),
         ("aggregate", aggregate),
         ("join", join),
         ("sequence", sequence),
         ("negation", negation),
     ]
-    .into_iter()
-    .map(|(name, plan)| {
-        let q = engine
-            .register_plan(name, plan, spec)
-            .unwrap_or_else(|e| panic!("register {name}: {e}"));
-        (name, q)
-    })
-    .collect()
+}
+
+/// Register the five-family query catalog against a fresh engine.
+pub fn register_families(
+    engine: &mut Engine,
+    spec: ConsistencySpec,
+    span: u64,
+) -> Vec<(&'static str, QueryId)> {
+    for ty in SCENARIO_TYPES {
+        engine.register_event_type(ty, vec![("key", FieldType::Int), ("seq", FieldType::Int)]);
+    }
+    family_plans(span)
+        .into_iter()
+        .map(|(name, plan)| {
+            let q = engine
+                .register_plan(name, plan, spec)
+                .unwrap_or_else(|e| panic!("register {name}: {e}"));
+            (name, q)
+        })
+        .collect()
 }
 
 /// One finished engine leg, plus the stall observations the harness made

@@ -28,7 +28,8 @@
 //! [`Dataflow::run_to_quiescence`] stage and run at different times and
 //! so always copy; they are the same sweep with nothing borrowed, not a
 //! second scheduler, and `tests/round_equivalence.rs` holds the two to
-//! identical delta logs, statistics and image bytes.
+//! identical delta logs, statistics and image bytes. A round run while
+//! input staged that way still waits is that pair of calls, literally.
 //!
 //! Between nodes, outputs travel as whole runs: a shell's output
 //! `Vec<Message>` is moved into its last subscriber's queue (cloned —
@@ -126,11 +127,15 @@ impl DataflowBuilder {
     /// Finish the graph; `watched` nodes get output collectors.
     pub fn build(self, watched: &[NodeId]) -> Dataflow {
         let mut source_subs: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); self.n_sources];
+        let mut node_sources: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shells.len()];
         let mut node_subs: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); self.shells.len()];
         for (node, inputs) in self.inputs.iter().enumerate() {
             for (port, src) in inputs.iter().enumerate() {
                 match src {
-                    Port::Source(s) => source_subs[*s].push((node, port)),
+                    Port::Source(s) => {
+                        source_subs[*s].push((node, port));
+                        node_sources[node].push((*s, port));
+                    }
                     Port::Node(n) => node_subs[*n].push((node, port)),
                 }
             }
@@ -144,6 +149,7 @@ impl DataflowBuilder {
         Dataflow {
             nodes: self.shells,
             source_subs,
+            node_sources,
             node_subs,
             collectors,
             queues,
@@ -159,6 +165,9 @@ pub struct Dataflow {
     nodes: Vec<OperatorShell>,
     /// Per source: the `(node, port)` pairs reading it, ascending.
     source_subs: Vec<Vec<(NodeId, usize)>>,
+    /// The same edges per node: the `(source, port)` pairs it reads,
+    /// ports ascending.
+    node_sources: Vec<Vec<(usize, usize)>>,
     node_subs: Vec<Vec<(NodeId, usize)>>,
     /// Indexed by node id; `Some` for watched nodes.
     collectors: Vec<Option<Collector>>,
@@ -261,9 +270,16 @@ impl Dataflow {
     /// thread timing that produced those rounds. An empty round still
     /// runs the (no-op) pass.
     pub fn run_round<'a>(&mut self, round: impl IntoIterator<Item = (usize, &'a MessageBatch)>) {
+        let round = round.into_iter().filter(|(_, batch)| !batch.is_empty());
+        if self.queues.iter().any(|q| !q.is_empty()) {
+            // Input staged earlier by `enqueue_source_batch` predates the
+            // round and is delivered first: the round queues behind it.
+            for (source, batch) in round {
+                self.enqueue_source_batch(source, batch);
+            }
+            return self.run_to_quiescence();
+        }
         let staged: Vec<(usize, &[Message])> = round
-            .into_iter()
-            .filter(|(_, batch)| !batch.is_empty())
             .map(|(source, batch)| (source, batch.as_slice()))
             .collect();
         self.tick += staged.len() as u64;
@@ -283,21 +299,23 @@ impl Dataflow {
     ///
     /// A node's input is delivered to its shell as **maximal same-port
     /// runs**: first the round's `staged` source batches it reads, then
-    /// what upstream nodes queued for it. A staged batch is handed over as
-    /// a borrowed slice — no clone, no queue — unless the node's runs are
-    /// not the batches themselves: two adjacent batches on one port are
-    /// one run, one batch on two ports is interleaved per message. Those
-    /// are materialised through the node's queue, as is the whole round
-    /// when input staged by [`Dataflow::enqueue_source_batch`] is still
-    /// waiting (it was enqueued first and must be delivered first).
+    /// what is queued for it. A staged batch is handed over as a borrowed
+    /// slice — no clone, no queue — unless the node's runs are not the
+    /// batches themselves: two adjacent batches on one port are one run,
+    /// one batch on two ports is interleaved per message. Those are
+    /// materialised through the node's queue. Callers pass `staged` only
+    /// when every queue is empty, so whatever a node's queue holds when
+    /// its turn comes was emitted upstream during this pass — after the
+    /// round was staged.
     ///
     /// A watched node's outputs are appended to its collector's delta log
     /// and moved (cloned only on fan-out) to its subscribers' queues.
-    fn sweep(&mut self, mut staged: &[(usize, &[Message])]) {
+    fn sweep(&mut self, staged: &[(usize, &[Message])]) {
         let now = self.tick;
         let Dataflow {
             nodes,
             source_subs,
+            node_sources,
             node_subs,
             collectors,
             queues,
@@ -307,15 +325,12 @@ impl Dataflow {
         let mut ready: BTreeSet<NodeId> = (0..nodes.len())
             .filter(|&n| !queues[n].is_empty())
             .collect();
-        if !ready.is_empty() {
-            for &(source, batch) in staged {
-                enqueue_for(queues, &source_subs[source], batch);
-            }
-            staged = &[];
-        }
         for &(source, _) in staged {
             ready.extend(source_subs[source].iter().map(|&(node, _)| node));
         }
+        // The current node's share of the round, as `(port, staged index)`
+        // in staged order (a source read on two ports yields twice).
+        let mut feed: Vec<(usize, usize)> = Vec::new();
         while let Some(node) = ready.pop_first() {
             let mut queued = std::mem::take(&mut queues[node]);
             let mut deliver = |port: usize, run: &[Message]| {
@@ -347,34 +362,24 @@ impl Dataflow {
                 enqueue(&mut queues[last], last_port, outs);
                 ready.extend(subs.iter().map(|&(next, _)| next));
             };
-            // The ports this node reads `source` on, ascending.
-            let reads = |source: usize| {
-                let subs = source_subs[source].iter();
-                subs.filter_map(move |&(n, port)| (n == node).then_some(port))
-            };
-            // This node's share of the round, as `(port, staged index)` in
-            // staged order (a source read on two ports yields twice).
-            let feed = || {
-                let batches = staged.iter().enumerate();
-                batches.flat_map(|(i, &(source, _))| reads(source).map(move |port| (port, i)))
-            };
-            let mut borrow = true;
-            let mut prev = None;
-            for at in feed() {
-                borrow &= prev.is_none_or(|(port, i)| port != at.0 && i != at.1);
-                prev = Some(at);
+            feed.clear();
+            for (i, &(source, _)) in staged.iter().enumerate() {
+                let reads = node_sources[node].iter();
+                feed.extend(reads.filter_map(|&(s, port)| (s == source).then_some((port, i))));
             }
-            if borrow {
-                for (port, i) in feed() {
+            // Borrowable: no two adjacent entries share a port or a batch.
+            let mut pairs = feed.windows(2);
+            if pairs.all(|w| w[0].0 != w[1].0 && w[0].1 != w[1].1) {
+                for &(port, i) in &feed {
                     deliver(port, staged[i].1);
                 }
             } else {
                 // Source runs go first: upstream output was queued behind
                 // them when staging copied.
                 let mut sourced = VecDeque::new();
-                for &(source, batch) in staged {
-                    for m in batch {
-                        for port in reads(source) {
+                for ports in feed.chunk_by(|a, b| a.1 == b.1) {
+                    for m in staged[ports[0].1].1 {
+                        for &(port, _) in ports {
                             enqueue(&mut sourced, port, [m.clone()]);
                         }
                     }
@@ -824,6 +829,36 @@ mod tests {
             *runs.lock().unwrap(),
             vec![(1, vec![0, 1, 2, 3]), (0, vec![0, 1, 2, 3])]
         );
+    }
+
+    #[test]
+    fn a_round_behind_staged_input_reaches_nodes_only_the_round_feeds() {
+        // `a` reads source 0, `c` reads source 1: input staged for `a`
+        // alone must not strand the round's batch for `c`.
+        let build = || {
+            let mut b = DataflowBuilder::new(2);
+            let mut select = |source| {
+                b.add_node(
+                    Box::new(SelectOp::new(Pred::True)),
+                    ConsistencySpec::middle(),
+                    vec![Port::Source(source)],
+                )
+            };
+            let (a, c) = (select(0), select(1));
+            (b.build(&[a, c]), a, c)
+        };
+        let (mut mixed, a, c) = build();
+        let (mut staged, ..) = build();
+        let (first, second) = (inserts(0..2), inserts(2..5));
+        mixed.enqueue_source_batch(0, &first);
+        mixed.run_round([(1, &second)]);
+        staged.enqueue_source_batch(0, &first);
+        staged.enqueue_source_batch(1, &second);
+        staged.run_to_quiescence();
+        assert_eq!(mixed.collector(a).stats().inserts, 2);
+        assert_eq!(mixed.collector(c).stats().inserts, 3);
+        assert_eq!(mixed.now(), 2);
+        assert_eq!(image(&mixed), image(&staged));
     }
 
     #[test]

@@ -325,6 +325,10 @@ pub trait OperatorModule: Send {
 pub struct OperatorShell {
     module: Box<dyn OperatorModule>,
     spec: ConsistencySpec,
+    /// The spec neither blocks nor forgets (Middle): everything is
+    /// admitted on arrival, so the alignment and pending buffers stay
+    /// empty and segments are delivered as the caller's own slices.
+    direct: bool,
     input_watermarks: Vec<TimePoint>,
     watermark: TimePoint,
     max_seen: TimePoint,
@@ -371,6 +375,7 @@ impl OperatorShell {
         OperatorShell {
             module,
             spec,
+            direct: !spec.is_blocking() && !spec.is_forgetful(),
             input_watermarks: vec![TimePoint::ZERO; arity],
             watermark: TimePoint::ZERO,
             max_seen: TimePoint::ZERO,
@@ -429,13 +434,12 @@ impl OperatorShell {
     /// pass through the alignment buffer and are delivered from there.
     pub fn push_batch(&mut self, input: usize, batch: &[Message], now: u64) -> Vec<Message> {
         assert!(input < self.arity(), "input port out of range");
-        let direct = !self.spec.is_blocking() && !self.spec.is_forgetful();
         for segment in batch.split_inclusive(|m| matches!(m, Message::Cti(_))) {
             let (data, cti) = match segment.split_last() {
                 Some((Message::Cti(t), data)) => (data, Some(*t)),
                 _ => (segment, None),
             };
-            if direct {
+            if self.direct {
                 self.deliver_segment(input, data);
             } else {
                 for msg in data {
@@ -448,8 +452,10 @@ impl OperatorShell {
             if let Some(t) = cti {
                 let before = self.watermark;
                 self.observe_cti(input, t);
-                self.release();
-                self.flush_pending(now);
+                if !self.direct {
+                    self.release();
+                    self.flush_pending(now);
+                }
                 // Give the module its watermark-change hook mid-batch and
                 // forward the guarantee downstream *at its position in the
                 // stream*: confirmation, state flushing and the output CTI

@@ -5,9 +5,10 @@
 //! quiescent round boundary:
 //!
 //! * the **`engine` section** — round counter, event-ID allocator, seal
-//!   state, the sharded routing table (serialized in sorted order so the
-//!   image is a pure function of the state), per-shard ingress counters
-//!   and the query → shard assignment;
+//!   state, the routing table (serialized in sorted order so the image is
+//!   a pure function of the state; restore only checks it against the
+//!   table the restoring engine's registrations built), the ingress
+//!   counters and the channel accounting;
 //! * the **`channel` section** (when a channel ingress exists) — the
 //!   pump's [`Resequencer`](cedr_streams::Resequencer): every buffered
 //!   emission and every per-producer lane cursor, plus the producer-key
@@ -91,10 +92,10 @@ fn corrupt_in(section: &str, detail: impl Into<String>) -> EngineError {
     }
 }
 
-/// The serialized routing image of one shard: type name → sorted
-/// subscriber list, itself sorted by type name.
-fn shard_routing(shard: &crate::engine::EngineShard) -> Vec<(String, Vec<(u64, u64)>)> {
-    let mut routing: Vec<(String, Vec<(u64, u64)>)> = shard
+/// The serialized routing image: type name → subscriber list (in
+/// registration order), sorted by type name.
+fn routing_image(engine: &Engine) -> Vec<(String, Vec<(u64, u64)>)> {
+    let mut routing: Vec<(String, Vec<(u64, u64)>)> = engine
         .routing
         .iter()
         .map(|(ty, subs)| {
@@ -165,7 +166,7 @@ impl Engine {
     /// Serialize the complete engine image to `w` at a quiescent round
     /// boundary. See the module docs for the image layout.
     ///
-    /// Requires quiescence: no staged shard ingress, no undelivered
+    /// Requires quiescence: no staged ingress, no undelivered
     /// dataflow queues, no pending shell work — otherwise
     /// [`EngineError::NotQuiescent`] (drain with
     /// [`Engine::run_to_quiescence`] / [`Engine::pump`] first). Emissions
@@ -184,15 +185,13 @@ impl Engine {
     /// [`Engine::checkpoint`] into a fresh byte vector.
     pub fn checkpoint_to_vec(&mut self) -> Result<Vec<u8>, EngineError> {
         let t0 = self.obs.now();
-        for (si, shard) in self.shards.iter().enumerate() {
-            if shard.staged_msgs > 0 || !shard.ingress.is_empty() {
-                return Err(EngineError::NotQuiescent {
-                    detail: format!(
-                        "shard {si} holds {} staged ingress messages",
-                        shard.staged_msgs
-                    ),
-                });
-            }
+        if !self.ingress.is_empty() {
+            return Err(EngineError::NotQuiescent {
+                detail: format!(
+                    "the engine holds {} staged ingress messages",
+                    self.staged_msgs
+                ),
+            });
         }
         // Fold the channel's side-band state into the resequencer so the
         // image is self-contained: pending disconnects close their lanes,
@@ -214,13 +213,8 @@ impl Engine {
         self.rounds_completed.encode(&mut engine);
         self.next_event_id.encode(&mut engine);
         self.sealed.encode(&mut engine);
-        (self.shards.len() as u64).encode(&mut engine);
-        for shard in &self.shards {
-            shard_routing(shard).encode(&mut engine);
-            encode_ingress_stats(&shard.stats, &mut engine);
-        }
-        let shard_of: Vec<u64> = self.shard_of_query.iter().map(|&s| s as u64).collect();
-        shard_of.encode(&mut engine);
+        routing_image(self).encode(&mut engine);
+        encode_ingress_stats(&self.stats, &mut engine);
         // Channel accounting outliving the channel itself (pump totals,
         // backpressure retired at seal) — semantic counters, so they must
         // survive a failover.
@@ -370,14 +364,8 @@ impl Engine {
             let rounds = u64::decode(&mut er)?;
             let next_event_id = u64::decode(&mut er)?;
             let sealed = bool::decode(&mut er)?;
-            let n_shards = u64::decode(&mut er)? as usize;
-            let mut shards = Vec::with_capacity(n_shards.min(1024));
-            for _ in 0..n_shards {
-                let routing = Vec::<(String, Vec<(u64, u64)>)>::decode(&mut er)?;
-                let stats = decode_ingress_stats(&mut er)?;
-                shards.push((routing, stats));
-            }
-            let shard_of = Vec::<u64>::decode(&mut er)?;
+            let routing = Vec::<(String, Vec<(u64, u64)>)>::decode(&mut er)?;
+            let stats = decode_ingress_stats(&mut er)?;
             let channel_acct = crate::engine::ChannelAccounting {
                 rounds: u64::decode(&mut er)?,
                 batches: u64::decode(&mut er)?,
@@ -387,41 +375,15 @@ impl Engine {
                 seen: bool::decode(&mut er)?,
             };
             er.expect_exhausted()?;
-            Ok((
-                rounds,
-                next_event_id,
-                sealed,
-                shards,
-                shard_of,
-                channel_acct,
-            ))
+            Ok((rounds, next_event_id, sealed, routing, stats, channel_acct))
         })()
         .map_err(|e| corrupt(e.in_section("engine")))?;
-        let (rounds, next_event_id, sealed, image_shards, image_shard_of, channel_acct) = decoded;
+        let (rounds, next_event_id, sealed, routing, stats, channel_acct) = decoded;
 
         // The routing table is derived from registration; the image copy
         // exists to prove both engines route identically.
-        if image_shards.len() != self.shards.len() {
-            return Err(corrupt_in(
-                "engine",
-                format!(
-                    "image has {} routing shards, engine has {}",
-                    image_shards.len(),
-                    self.shards.len()
-                ),
-            ));
-        }
-        for (si, (shard, (routing, _))) in self.shards.iter().zip(image_shards.iter()).enumerate() {
-            if &shard_routing(shard) != routing {
-                return Err(corrupt_in(
-                    "engine",
-                    format!("shard {si} routing table differs from the image"),
-                ));
-            }
-        }
-        let shard_of: Vec<usize> = image_shard_of.iter().map(|&s| s as usize).collect();
-        if shard_of != self.shard_of_query {
-            return Err(corrupt_in("engine", "query → shard assignment differs"));
+        if routing_image(self) != routing {
+            return Err(corrupt_in("engine", "routing table differs from the image"));
         }
 
         // Decode the channel section (if present) before mutating.
@@ -457,11 +419,9 @@ impl Engine {
         self.rounds_completed = rounds;
         self.next_event_id = next_event_id;
         self.sealed = sealed;
-        for (shard, (_, stats)) in self.shards.iter_mut().zip(image_shards) {
-            shard.stats = stats;
-            shard.ingress.clear();
-            shard.staged_msgs = 0;
-        }
+        self.stats = stats;
+        self.ingress.clear();
+        self.staged_msgs = 0;
         self.channel_acct = channel_acct;
         self.channel = match channel_state {
             None => None,
@@ -495,15 +455,13 @@ impl Engine {
                                     .buffered
                                     .into_iter()
                                     .map(|(seq, rec)| {
-                                        let subs: Arc<[_]> =
-                                            self.resolve_subs(&rec.event_type).into();
                                         (
                                             seq,
                                             IngressBatch {
                                                 key: rec.key,
                                                 seq: rec.seq,
                                                 event_type: Arc::from(rec.event_type.as_str()),
-                                                subs,
+                                                subs: self.resolve_subs(&rec.event_type),
                                                 batch: rec.batch,
                                             },
                                         )

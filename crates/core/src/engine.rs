@@ -14,9 +14,9 @@
 //!
 //! * **Ingestion** — [`Engine::source`] opens a typed
 //!   [`SourceHandle`] on one input stream. The
-//!   handle resolves the event type and its shard routing **once**,
+//!   handle resolves the event type and its subscribers **once**,
 //!   offers typed `insert`/`retract`/`cti` builders, stages a local
-//!   [`MessageBatch`], and flushes it against a **bounded per-shard
+//!   [`MessageBatch`], and flushes it against the engine's **bounded
 //!   ingress queue** ([`EngineConfig::ingress_capacity`]). The blocking
 //!   [`flush`](crate::SourceHandle::flush) drains the engine when the
 //!   ingress is full; [`try_flush`](crate::SourceHandle::try_flush)
@@ -40,31 +40,29 @@
 //!   appended since the last poll, bit-identical at every consistency
 //!   level and thread count, instead of re-reading whole output tables.
 //!
-//! # Sharding and threading
+//! # Routing and threading
 //!
-//! Ingestion is built for fan-out at scale. The engine's event-type
-//! routing table is **sharded**: queries are assigned round-robin to
-//! [`EngineConfig::threads`] shards at registration, and each shard owns
-//! its slice of the event-type → `(query, source port)` table plus its own
-//! bounded ingress queue. Staging is per-shard table lookups (or none at
-//! all, through a resolved handle) plus one `Arc`-shared [`MessageBatch`]
-//! clone per shard — never a payload deep-copy, regardless of how many
-//! standing queries share a stream. The
-//! [`Engine::enqueue_batch`]/[`Engine::run_to_quiescence`] pair lets
-//! callers stage several per-type batches (e.g. one per provider stream)
-//! and then drain every query's dataflow once, maximising the runs each
-//! dataflow's sweep can amortise.
+//! Ingestion is built for fan-out at scale. The engine keeps **one**
+//! event-type → `(query, source port)` routing table and **one** bounded
+//! ingress queue ([`EngineConfig::ingress_capacity`]). Staging is one
+//! table lookup (or none at all, through a resolved handle) plus one
+//! queue entry holding the `Arc`-shared [`MessageBatch`] — never a
+//! payload deep-copy, regardless of how many standing queries share a
+//! stream. The [`Engine::enqueue_batch`]/[`Engine::run_to_quiescence`]
+//! pair lets callers stage several per-type batches (e.g. one per
+//! provider stream) and then drain every query's dataflow once,
+//! maximising the runs each dataflow's sweep can amortise.
 //!
-//! With `threads > 1`, [`Engine::run_to_quiescence`] drains the shards on
-//! scoped worker threads — each worker owns its shard's ingress queue and
-//! queries outright, so the hot path takes **no global lock** (routing is
-//! resolved at staging time, and shard state is disjoint by construction).
-//! Every query's dataflow still sees its staged batches in exactly the
-//! enqueue order, so threaded and serial drains produce bit-identical
-//! outputs at every consistency level: queries are independent,
-//! single-threaded dataflows, and the per-query shard drain is the
-//! engine's one parallelism layer (the serial drain is the same per-shard
-//! code run on the calling thread).
+//! A drain groups the queue into one round per query — every query sees
+//! its staged batches in exactly the enqueue order — and runs the rounds
+//! in query order. [`EngineConfig::threads`] splits **only this drain**:
+//! query `q` belongs to worker `q % threads`, and a round in which at
+//! least two workers have input runs them on scoped threads, each owning
+//! its queries' dataflows outright (no lock on the hot path). Queries are
+//! independent, single-threaded dataflows, so threaded and serial drains
+//! produce bit-identical outputs at every consistency level; routing,
+//! admission, backpressure, ingress counters and checkpoint images do not
+//! depend on the worker count at all.
 //!
 //! # Durability
 //!
@@ -74,7 +72,7 @@
 //! join indexes, sequence/negation state), the channel pump's
 //! resequencer (buffered emissions and per-producer cursors), each
 //! query's output delta log (the collector is rebuilt from it), the
-//! sharded routing table, the engine configuration and round counters —
+//! routing table, the engine configuration and round counters —
 //! into a versioned, length-prefixed binary image (see [`cedr_durable`])
 //! whose manifest carries the format version, the round number, a
 //! configuration hash and a content checksum.
@@ -103,7 +101,7 @@
 //!
 //! [`Engine::metrics`] returns one unified
 //! [`MetricsSnapshot`](cedr_obs::MetricsSnapshot): per-query and per-node
-//! operator counters, per-shard ingress counters, channel pump and
+//! operator counters, engine ingress counters, channel pump and
 //! resequencer state (including per-producer backpressure attribution),
 //! checkpoint/restore accounting, the latency histograms and the trace
 //! ring occupancy. Render it with
@@ -118,7 +116,7 @@
 //! `CEDR_COMPILE` modes for the same logical workload
 //! (`tests/metrics_determinism.rs` pins this); **execution counters**
 //! are exact for a fixed configuration but mode-dependent (a fused graph
-//! has fewer nodes, each thread count shards staging differently); and
+//! has fewer nodes); and
 //! **timing histograms** read wall-clock through the
 //! [`ObsClock`](cedr_obs::ObsClock) seam — swap in a
 //! [`ManualClock`](cedr_obs::ManualClock) via [`Engine::set_obs_clock`]
@@ -131,7 +129,7 @@
 //! (`1`/`on` → a [`DEFAULT_TRACE_CAPACITY`]-event ring, any other number
 //! → that capacity). [`Engine::trace_events`] returns the buffered
 //! window of [`TraceEvent`]s — round start/end,
-//! shard drains, operator runs, backpressure hits,
+//! drain-worker sweeps, operator runs, backpressure hits,
 //! resequencer stalls, checkpoint/restore, seal — oldest first.
 
 use crate::ingest::{ChannelIngress, ChannelSource, IngressStats};
@@ -178,17 +176,17 @@ pub enum EngineError {
     /// only by the `try_*` admission paths
     /// ([`crate::SourceHandle::try_flush`], [`Engine::try_enqueue_batch`],
     /// [`crate::ChannelSource::try_flush`]); the blocking paths exert
-    /// backpressure instead of failing. This is the signal to drain
-    /// ([`Engine::run_to_quiescence`] / [`Engine::pump`]) or slow down.
+    /// backpressure instead of failing. This is the signal to drain or
+    /// slow down.
     ///
-    /// For the per-shard ingress, `capacity`/`staged`/`batch` count
-    /// *messages* and `shard` names the full shard. For a channel source
-    /// the bounded resource is the mpsc channel itself: `shard` is 0 and
-    /// `capacity`/`staged` count staged *emissions* (batches), per
-    /// [`EngineConfig::channel_depth`].
+    /// For the engine ingress, `capacity`/`staged`/`batch` count
+    /// *messages* and [`Engine::run_to_quiescence`] drains it. For a
+    /// channel source the bounded resource is the mpsc channel itself:
+    /// `capacity`/`staged` count in-flight *emissions* (batches), per
+    /// [`EngineConfig::channel_depth`], and only [`Engine::pump`] /
+    /// [`Engine::run_pipelined`] drain it.
     IngressFull {
         event_type: String,
-        shard: usize,
         capacity: usize,
         staged: usize,
         batch: usize,
@@ -258,15 +256,15 @@ impl fmt::Display for EngineError {
             ),
             EngineError::IngressFull {
                 event_type,
-                shard,
                 capacity,
                 staged,
                 batch,
             } => write!(
                 f,
-                "ingress full for '{event_type}': shard {shard} holds {staged}/{capacity} \
-                 staged messages, batch of {batch} does not fit; drain with \
-                 run_to_quiescence() or use the blocking flush"
+                "ingress full for '{event_type}': {staged}/{capacity} staged, batch of \
+                 {batch} does not fit; drain the engine ingress (counts messages) with \
+                 run_to_quiescence() or a channel source (counts emissions) with pump() / \
+                 run_pipelined(), or use the blocking flush"
             ),
             EngineError::ResequencerFull {
                 capacity,
@@ -313,7 +311,7 @@ pub(crate) struct RunningQuery {
     pub(crate) explain: String,
 }
 
-/// Default bound on staged messages per routing shard (see
+/// Default bound on messages staged in the engine's ingress queue (see
 /// [`EngineConfig::ingress_capacity`]).
 pub const DEFAULT_INGRESS_CAPACITY: usize = 65_536;
 
@@ -332,15 +330,18 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4_096;
 /// Execution configuration of an [`Engine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for [`Engine::run_to_quiescence`]; also the number
-    /// of routing-table shards. `1` = fully serial.
+    /// Drain workers for [`Engine::run_to_quiescence`]: query `q` runs on
+    /// worker `q % threads`, and a drain in which at least two workers
+    /// have input runs them on scoped threads. `1` = fully serial. Splits
+    /// the drain only — routing, admission, counters and checkpoint images
+    /// are the same at every worker count.
     pub threads: usize,
-    /// Bound on *staged* messages per routing shard: admission fails
-    /// ([`EngineError::IngressFull`], on the `try_*` paths) or drains the
-    /// engine (on the blocking paths) once a shard's ingress queue holds
-    /// this many messages. This is what keeps a fast provider from growing
-    /// the staging queues without bound. A single batch larger than the
-    /// capacity is admitted alone into an empty shard (it could never fit
+    /// Bound on *staged* messages in the engine's ingress queue: admission
+    /// fails ([`EngineError::IngressFull`], on the `try_*` paths) or
+    /// drains the engine (on the blocking paths) once the queue holds this
+    /// many messages. This is what keeps a fast provider from growing the
+    /// staging queue without bound. A single batch larger than the
+    /// capacity is admitted alone into an empty queue (it could never fit
     /// otherwise), so the bound is `capacity + one oversized batch` in the
     /// worst case.
     pub ingress_capacity: usize,
@@ -405,7 +406,7 @@ fn trace_capacity_from_env() -> usize {
 }
 
 impl EngineConfig {
-    /// Single-threaded execution (one shard, serial drain). Fusion
+    /// Single-threaded execution (serial drain). Fusion
     /// follows the `CEDR_FUSE` environment switch, like every constructor.
     pub fn serial() -> Self {
         EngineConfig {
@@ -419,7 +420,7 @@ impl EngineConfig {
         }
     }
 
-    /// `threads` workers / routing shards (clamped to at least 1).
+    /// `threads` drain workers (clamped to at least 1).
     pub fn threaded(threads: usize) -> Self {
         EngineConfig {
             threads: threads.max(1),
@@ -427,8 +428,8 @@ impl EngineConfig {
         }
     }
 
-    /// Same configuration with a different per-shard ingress bound
-    /// (clamped to at least 1 message).
+    /// Same configuration with a different ingress bound (clamped to at
+    /// least 1 message).
     pub fn with_ingress_capacity(self, capacity: usize) -> Self {
         EngineConfig {
             ingress_capacity: capacity.max(1),
@@ -514,9 +515,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// The `(query index, source port)` subscribers of one event type within
-/// one shard, shared behind `Arc` so that resolved [`SourceHandle`]s and
-/// staged ingress entries alias the routing table instead of copying it.
+/// The `(query index, source port)` subscribers of one event type, shared
+/// behind `Arc` so that resolved [`SourceHandle`]s and staged ingress
+/// entries alias the routing table instead of copying it.
 pub(crate) type SubscriberList = Arc<Vec<(usize, usize)>>;
 
 /// The schema check every ingestion surface applies — engine minting,
@@ -535,23 +536,6 @@ pub(crate) fn validate_arity(
         });
     }
     Ok(())
-}
-
-/// One slice of the sharded routing table: the queries assigned to one
-/// worker, their event-type subscriptions, and their staged ingress.
-#[derive(Default)]
-pub(crate) struct EngineShard {
-    /// Event-type name → subscribers whose query lives in this shard.
-    pub(crate) routing: HashMap<String, SubscriberList>,
-    /// Staged batches awaiting the next drain, in enqueue order, each with
-    /// the `(query, port)` subscribers it fans out to (one shared batch
-    /// clone per shard, not per subscriber).
-    pub(crate) ingress: Vec<(MessageBatch, SubscriberList)>,
-    /// Total messages across `ingress` — the quantity bounded by
-    /// [`EngineConfig::ingress_capacity`].
-    pub(crate) staged_msgs: usize,
-    /// Staged/admitted/backpressure counters for this shard's ingress.
-    pub(crate) stats: IngressStats,
 }
 
 /// Channel-pump accounting that must outlive the [`ChannelIngress`]
@@ -594,11 +578,18 @@ impl ChannelAccounting {
 pub struct Engine {
     pub(crate) catalog: Catalog,
     pub(crate) queries: Vec<RunningQuery>,
-    /// Routing shards; query `q` lives in shard `shard_of_query[q]`.
-    /// Rebuilt incrementally at registration; makes routing a lookup
-    /// instead of a scan over every standing query.
-    pub(crate) shards: Vec<EngineShard>,
-    pub(crate) shard_of_query: Vec<usize>,
+    /// Event-type name → `(query, port)` subscribers. Extended at
+    /// registration; makes routing a lookup instead of a scan over every
+    /// standing query.
+    pub(crate) routing: HashMap<String, SubscriberList>,
+    /// Staged batches awaiting the next drain, in enqueue order, each with
+    /// the subscribers it fans out to at drain time.
+    pub(crate) ingress: Vec<(MessageBatch, SubscriberList)>,
+    /// Total messages across `ingress` — the quantity bounded by
+    /// [`EngineConfig::ingress_capacity`].
+    pub(crate) staged_msgs: usize,
+    /// Staged/admitted/backpressure counters of the ingress queue.
+    pub(crate) stats: IngressStats,
     pub(crate) config: EngineConfig,
     pub(crate) next_event_id: u64,
     /// Quiescence passes completed — the engine's round counter, stamped
@@ -634,12 +625,13 @@ impl Engine {
 
     /// An engine with an explicit execution configuration.
     pub fn with_config(config: EngineConfig) -> Self {
-        let n = config.threads.max(1);
         Engine {
             catalog: Catalog::new(),
             queries: Vec::new(),
-            shards: (0..n).map(|_| EngineShard::default()).collect(),
-            shard_of_query: Vec::new(),
+            routing: HashMap::new(),
+            ingress: Vec::new(),
+            staged_msgs: 0,
+            stats: IngressStats::default(),
             config,
             next_event_id: 1,
             rounds_completed: 0,
@@ -663,19 +655,11 @@ impl Engine {
         self.config
     }
 
-    /// Number of routing-table shards (== configured threads).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Record the sources a freshly-registered query consumes in its
-    /// shard's routing table. Queries are spread round-robin, which keeps
-    /// shard loads balanced for homogeneous standing queries.
+    /// Record the sources a freshly-registered query consumes in the
+    /// routing table.
     fn index_query(&mut self, q: usize) {
-        let shard = q % self.shards.len();
-        self.shard_of_query.push(shard);
         for (port, ty) in self.queries[q].plan.source_types.iter().enumerate() {
-            let subs = self.shards[shard].routing.entry(ty.clone()).or_default();
+            let subs = self.routing.entry(ty.clone()).or_default();
             // Copy-on-write: batches already staged (and handles already
             // resolved) keep routing as of their staging time.
             Arc::make_mut(subs).push((q, port));
@@ -788,13 +772,12 @@ impl Engine {
     /// Open a typed ingestion session on the named input stream.
     ///
     /// Resolution happens **once**: the handle captures the event type's
-    /// payload schema and its `(query, port)` subscriber lists per routing
-    /// shard, so staging and flushing never repeat the string-keyed
-    /// lookups per message. The handle stages a local [`MessageBatch`]
-    /// via its typed
+    /// payload schema and its `(query, port)` subscriber list, so staging
+    /// and flushing never repeat the string-keyed lookups per message.
+    /// The handle stages a local [`MessageBatch`] via its typed
     /// [`insert`](SourceHandle::insert) / [`retract`](SourceHandle::retract)
     /// / [`cti`](SourceHandle::cti) builders and flushes it against the
-    /// bounded per-shard ingress ([`EngineConfig::ingress_capacity`]) —
+    /// bounded engine ingress ([`EngineConfig::ingress_capacity`]) —
     /// blocking-style via [`flush`](SourceHandle::flush) (drains the
     /// engine when full) or with real backpressure via
     /// [`try_flush`](SourceHandle::try_flush), which surfaces
@@ -823,7 +806,7 @@ impl Engine {
     ///
     /// Resolution still happens once, here: the handle carries an
     /// `Arc`-shared snapshot of the event type's `(query, port)`
-    /// subscriber lists and feeds a bounded mpsc ingress
+    /// subscriber list and feeds a bounded mpsc ingress
     /// ([`EngineConfig::channel_depth`]) that [`Engine::pump`] /
     /// [`Engine::run_pipelined`] drain in canonical producer order.
     /// Because the snapshot is taken now, register every standing query
@@ -840,7 +823,7 @@ impl Engine {
             Ok(def) => def.fields.len(),
             Err(_) => return Err(self.unknown_type(event_type)),
         };
-        let subs: Arc<[(usize, SubscriberList)]> = self.resolve_subs(event_type).into();
+        let subs = self.resolve_subs(event_type);
         let depth = self.config.channel_depth;
         self.channel_acct.seen = true;
         let ch = self
@@ -872,22 +855,13 @@ impl Engine {
         ))
     }
 
-    /// Per-shard ingress observability: staged/admitted/backpressure
-    /// counters for every routing shard, in shard order.
-    pub fn shard_ingress_stats(&self) -> Vec<IngressStats> {
-        self.shards.iter().map(|s| s.stats).collect()
-    }
-
-    /// Engine-wide ingress counters: the per-shard
-    /// [`Engine::shard_ingress_stats`] folded together, plus
-    /// channel-source backpressure (flushes that found the bounded mpsc
-    /// channel full — live and retired channels both; the per-producer
-    /// attribution is in [`Engine::metrics`]).
+    /// Engine-wide ingress counters: what was staged onto and admitted
+    /// from the ingress queue, and backpressure — the queue's own plus
+    /// channel-source flushes that found the bounded mpsc channel full
+    /// (live and retired channels both; the per-producer attribution is
+    /// in [`Engine::metrics`]).
     pub fn ingress_stats(&self) -> IngressStats {
-        let mut total = IngressStats::default();
-        for s in &self.shards {
-            total.absorb(&s.stats);
-        }
+        let mut total = self.stats;
         total.backpressure_events += self.channel_backpressure_total();
         total
     }
@@ -905,17 +879,6 @@ impl Engine {
             })
             .unwrap_or(0);
         live + self.channel_acct.retired_backpressure
-    }
-
-    /// Record that admission found `shard` at capacity (blocking drains
-    /// and `try_*` rejections both land here).
-    pub(crate) fn note_backpressure(&mut self, shard: usize) {
-        if let Some(s) = self.shards.get_mut(shard) {
-            s.stats.backpressure_events += 1;
-        }
-        self.obs.trace(|| TraceEvent::Backpressure {
-            shard: shard.min(u16::MAX as usize) as u16,
-        });
     }
 
     /// Open an incremental subscription on a query's output change stream.
@@ -948,13 +911,12 @@ impl Engine {
     }
 
     /// Stage a batch on the named input stream without draining the
-    /// dataflows: each shard resolves its own subscribers and queues an
-    /// `Arc`-shared clone on its ingress — no cross-shard coordination.
-    /// Pair with [`Engine::run_to_quiescence`] to ingest several per-type
-    /// batches (one per provider stream, say) and then run every query's
-    /// graph once over the union.
+    /// dataflows: one `Arc`-shared clone joins the ingress queue with the
+    /// type's subscriber list. Pair with [`Engine::run_to_quiescence`] to
+    /// ingest several per-type batches (one per provider stream, say) and
+    /// then run every query's graph once over the union.
     ///
-    /// Admission is bounded: once a target shard holds
+    /// Admission is bounded: once the ingress holds
     /// [`EngineConfig::ingress_capacity`] staged messages, this call
     /// **drains the engine first** (backpressure by blocking). Use
     /// [`Engine::try_enqueue_batch`] to get [`EngineError::IngressFull`]
@@ -968,8 +930,8 @@ impl Engine {
     }
 
     /// [`Engine::enqueue_batch`] with backpressure surfaced: if the batch
-    /// does not fit a target shard's bounded ingress, nothing is staged
-    /// and [`EngineError::IngressFull`] is returned.
+    /// does not fit the bounded ingress, nothing is staged and
+    /// [`EngineError::IngressFull`] is returned.
     pub fn try_enqueue_batch(
         &mut self,
         event_type: &str,
@@ -991,7 +953,7 @@ impl Engine {
             return Err(self.unknown_type(event_type));
         }
         let subs = self.resolve_subs(event_type);
-        self.admit_resolved(event_type, batch.clone(), &subs, block)
+        self.admit_resolved(event_type, &mut batch.clone(), &subs, block)
     }
 
     /// An [`EngineError::UnknownEventType`] naming every registered type.
@@ -1007,15 +969,11 @@ impl Engine {
         }
     }
 
-    /// Resolve the per-shard subscriber lists of an event type — the
-    /// lookup a [`SourceHandle`] performs once at open time. Cloning a
-    /// list is an `Arc` refcount bump.
-    pub(crate) fn resolve_subs(&self, event_type: &str) -> Vec<(usize, SubscriberList)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(si, s)| s.routing.get(event_type).map(|subs| (si, subs.clone())))
-            .collect()
+    /// Resolve the subscriber list of an event type (empty when no query
+    /// consumes it) — the lookup a [`SourceHandle`] performs once at open
+    /// time. Cloning a list is an `Arc` refcount bump.
+    pub(crate) fn resolve_subs(&self, event_type: &str) -> SubscriberList {
+        self.routing.get(event_type).cloned().unwrap_or_default()
     }
 
     /// Mint a fresh-ID primitive event (the handle builders' allocator).
@@ -1029,57 +987,43 @@ impl Engine {
         ))
     }
 
-    /// Does a batch of `len` messages fit every target shard's bounded
-    /// ingress right now? On failure, the [`EngineError::IngressFull`]
-    /// names the first full shard. A batch larger than the capacity
-    /// itself fits an *empty* shard (it could never be admitted
-    /// otherwise).
-    pub(crate) fn check_capacity(
-        &self,
-        event_type: &str,
-        len: usize,
-        subs: &[(usize, SubscriberList)],
-    ) -> Result<(), EngineError> {
-        let cap = self.config.ingress_capacity;
-        for (si, _) in subs {
-            let shard = &self.shards[*si];
-            if shard.staged_msgs > 0 && shard.staged_msgs + len > cap {
-                return Err(EngineError::IngressFull {
-                    event_type: event_type.to_string(),
-                    shard: *si,
-                    capacity: cap,
-                    staged: shard.staged_msgs,
-                    batch: len,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Admit a batch to the ingress queues of the given (pre-resolved)
-    /// shards, enforcing [`EngineConfig::ingress_capacity`]: when a target
-    /// shard lacks room ([`Engine::check_capacity`]), either drain the
-    /// whole engine first (`block`) or stage nothing and return
-    /// [`EngineError::IngressFull`].
+    /// Move `batch` onto the ingress queue for its (pre-resolved)
+    /// subscribers, enforcing [`EngineConfig::ingress_capacity`]. A batch
+    /// larger than the capacity itself fits an *empty* queue (it could
+    /// never be admitted otherwise). When the queue lacks room, either
+    /// drain the whole engine first (`block`) or stage nothing, leave
+    /// `batch` with the caller and return [`EngineError::IngressFull`].
+    /// On success `batch` is left empty; a batch nobody subscribes to is
+    /// dropped.
     pub(crate) fn admit_resolved(
         &mut self,
         event_type: &str,
-        mut batch: MessageBatch,
-        subs: &[(usize, SubscriberList)],
+        batch: &mut MessageBatch,
+        subs: &SubscriberList,
         block: bool,
     ) -> Result<(), EngineError> {
         let len = batch.len();
-        if len == 0 || subs.is_empty() {
+        if len == 0 {
             return Ok(());
         }
-        if let Err(full) = self.check_capacity(event_type, len, subs) {
-            if let EngineError::IngressFull { shard, .. } = full {
-                self.note_backpressure(shard);
-            }
+        if subs.is_empty() {
+            batch.clear();
+            return Ok(());
+        }
+        let cap = self.config.ingress_capacity;
+        if self.staged_msgs > 0 && self.staged_msgs + len > cap {
+            // Blocking drains and `try_*` rejections both count.
+            self.stats.backpressure_events += 1;
+            self.obs.trace(|| TraceEvent::Backpressure);
             if !block {
-                return Err(full);
+                return Err(EngineError::IngressFull {
+                    event_type: event_type.to_string(),
+                    capacity: cap,
+                    staged: self.staged_msgs,
+                    batch: len,
+                });
             }
-            // Backpressure by draining: empties every ingress. The time
+            // Backpressure by draining: empties the ingress. The time
             // the producer spends blocked in this forced drain is the
             // flush_block histogram.
             let t0 = self.obs.now();
@@ -1092,22 +1036,11 @@ impl Engine {
         if self.round_open_at.is_none() {
             self.round_open_at = Some(self.obs.now());
         }
-        let n = subs.len();
-        for (i, (si, s)) in subs.iter().enumerate() {
-            let shard = &mut self.shards[*si];
-            shard.staged_msgs += len;
-            shard.stats.staged_batches += 1;
-            shard.stats.staged_messages += len as u64;
-            // One `Arc`-shared batch clone per shard (the last target takes
-            // the batch by move), however many of its queries subscribe;
-            // fan-out to subscribers happens at drain time.
-            let b = if i + 1 == n {
-                std::mem::take(&mut batch)
-            } else {
-                batch.clone()
-            };
-            shard.ingress.push((b, s.clone()));
-        }
+        self.staged_msgs += len;
+        self.stats.staged_batches += 1;
+        self.stats.staged_messages += len as u64;
+        // Fan-out to subscribers happens at drain time.
+        self.ingress.push((std::mem::take(batch), subs.clone()));
         Ok(())
     }
 
@@ -1115,30 +1048,24 @@ impl Engine {
     /// cascade per message). Ingestion order is preserved across the
     /// APIs: staged ingress is drained first, so a direct send (a CTI,
     /// say) can never overtake data that was enqueued before it.
-    pub(crate) fn send_resolved(&mut self, subs: &[(usize, SubscriberList)], msg: Message) {
-        if self.shards.iter().any(|s| !s.ingress.is_empty()) {
+    pub(crate) fn send_resolved(&mut self, subs: &SubscriberList, msg: Message) {
+        if !self.ingress.is_empty() {
             self.run_to_quiescence();
         }
-        for (_, s) in subs {
-            for &(q, port) in s.iter() {
-                self.queries[q].plan.dataflow.push_source(port, msg.clone());
-            }
+        for &(q, port) in subs.iter() {
+            self.queries[q].plan.dataflow.push_source(port, msg.clone());
         }
     }
 
-    /// Drain every shard's staged ingress into its queries' dataflows and
-    /// run them to quiescence — serially, or on one worker thread per
-    /// shard when configured with more than one thread. Each query always
-    /// receives its batches in enqueue order, so the two modes are
-    /// bit-identical.
+    /// Drain the staged ingress into the queries' dataflows and run them
+    /// to quiescence — serially, or split across the configured drain
+    /// workers ([`EngineConfig::threads`]). Each query always receives its
+    /// batches in enqueue order, so the two modes are bit-identical.
     pub fn run_to_quiescence(&mut self) {
         let t0 = self.obs.now();
-        self.obs.trace(|| {
-            let staged: usize = self.shards.iter().map(|s| s.ingress.len()).sum();
-            TraceEvent::RoundStart {
-                round: self.rounds_completed + 1,
-                staged_batches: staged.min(u32::MAX as usize) as u32,
-            }
+        self.obs.trace(|| TraceEvent::RoundStart {
+            round: self.rounds_completed + 1,
+            staged_batches: self.ingress.len().min(u32::MAX as usize) as u32,
         });
         let deltas_before = self.round_open_at.map(|_| self.deltas_logged_total());
         self.drain_round();
@@ -1167,51 +1094,65 @@ impl Engine {
             .sum()
     }
 
-    /// The uninstrumented drain behind [`Engine::run_to_quiescence`]: every
-    /// shard with staged ingress or queries runs [`drain_shard`] — on the
-    /// calling thread, or on one scoped worker per shard when more than
-    /// one shard has work and the engine is configured threaded.
+    /// The uninstrumented drain behind [`Engine::run_to_quiescence`]: take
+    /// the ingress, group it into one round per query and run every
+    /// query's round in query order — on the calling thread, or on one
+    /// scoped worker per `q % threads` bucket when the engine is threaded
+    /// and at least two buckets have input.
     fn drain_round(&mut self) {
         self.rounds_completed += 1;
-        let busy = self.shards.iter().filter(|s| !s.ingress.is_empty()).count();
-        // Buckets are disjoint because every query belongs to exactly one
-        // shard, and ordered by query index, so per-shard drain order is
-        // deterministic.
-        let mut buckets: Vec<Vec<(usize, &mut RunningQuery)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (qi, rq) in self.queries.iter_mut().enumerate() {
-            buckets[self.shard_of_query[qi]].push((qi, rq));
+        self.staged_msgs = 0;
+        let ingress = std::mem::take(&mut self.ingress);
+        let workers = self.config.threads.max(1);
+        let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
+            (0..self.queries.len()).map(|_| Vec::new()).collect();
+        // Per worker: `(batches, messages)` reaching its queries, each
+        // batch counted once, and the index of the last batch counted.
+        let mut load = vec![(0usize, 0u64, usize::MAX); workers];
+        for (i, (batch, subs)) in ingress.iter().enumerate() {
+            let len = batch.len() as u64;
+            self.stats.admitted_batches += 1;
+            self.stats.admitted_messages += len;
+            for &(q, port) in subs.iter() {
+                rounds[q].push((port, batch));
+                let w = &mut load[q % workers];
+                if w.2 != i {
+                    *w = (w.0 + 1, w.1 + len, i);
+                }
+            }
         }
-        let work = self
-            .shards
-            .iter_mut()
-            .zip(buckets)
-            .enumerate()
-            .filter(|(_, (shard, bucket))| !(shard.ingress.is_empty() && bucket.is_empty()));
         let hub = &self.obs;
-        if self.config.threads <= 1 || busy <= 1 {
+        if load.iter().filter(|w| w.0 > 0).count() <= 1 {
             // One ShardDrain for the whole serial sweep, by convention on
-            // shard 0 (the histogram stays parallel-path only).
+            // worker 0 (the histogram stays parallel-path only).
             let t0 = hub.tracing().then(|| hub.now());
-            let (mut batches, mut messages) = (0usize, 0u64);
-            for (_, (shard, bucket)) in work {
-                let (b, m) = drain_shard(shard, bucket);
-                batches += b;
-                messages += m;
+            for (rq, round) in self.queries.iter_mut().zip(rounds) {
+                rq.plan.dataflow.run_round(round);
             }
             if let Some(t0) = t0 {
-                trace_shard_drain(hub, 0, batches, messages, hub.now().saturating_sub(t0));
+                let messages = ingress.iter().map(|(b, _)| b.len() as u64).sum();
+                let nanos = hub.now().saturating_sub(t0);
+                trace_drain(hub, 0, ingress.len(), messages, nanos);
             }
             return;
         }
+        let mut buckets: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+        for (q, item) in self.queries.iter_mut().zip(rounds).enumerate() {
+            buckets[q % workers].push(item);
+        }
         std::thread::scope(|scope| {
-            for (sid, (shard, bucket)) in work {
+            for (w, (bucket, (batches, messages, _))) in buckets.into_iter().zip(load).enumerate() {
+                if bucket.is_empty() {
+                    continue;
+                }
                 scope.spawn(move || {
                     let t0 = hub.now();
-                    let (batches, messages) = drain_shard(shard, bucket);
+                    for (rq, round) in bucket {
+                        rq.plan.dataflow.run_round(round);
+                    }
                     let nanos = hub.now().saturating_sub(t0);
                     hub.with_timings(|t| t.shard_drain.record(nanos));
-                    trace_shard_drain(hub, sid, batches, messages, nanos);
+                    trace_drain(hub, w, batches, messages, nanos);
                 });
             }
         });
@@ -1240,7 +1181,7 @@ impl Engine {
         cti.push_cti(t);
         for ty in types {
             let subs = self.resolve_subs(&ty);
-            let _ = self.admit_resolved(&ty, cti.clone(), &subs, true);
+            let _ = self.admit_resolved(&ty, &mut cti.clone(), &subs, true);
         }
         self.run_to_quiescence();
     }
@@ -1320,37 +1261,10 @@ impl Engine {
     }
 }
 
-/// Drain one shard: admit its staged ingress, group the batches per
-/// query of `bucket` (the shard's queries, ascending by query index — a
-/// query lives in exactly one shard, so shard order preserves each
-/// query's enqueue order) and hand every dataflow its whole round at
-/// once. Returns the `(batches, messages)` admitted.
-fn drain_shard(shard: &mut EngineShard, bucket: Vec<(usize, &mut RunningQuery)>) -> (usize, u64) {
-    shard.staged_msgs = 0;
-    let drained = std::mem::take(&mut shard.ingress);
-    let mut messages = 0u64;
-    let mut rounds: Vec<Vec<(usize, &MessageBatch)>> =
-        (0..bucket.len()).map(|_| Vec::new()).collect();
-    for (batch, subs) in &drained {
-        shard.stats.admitted_batches += 1;
-        shard.stats.admitted_messages += batch.len() as u64;
-        messages += batch.len() as u64;
-        for &(q, port) in subs.iter() {
-            let slot = bucket
-                .binary_search_by_key(&q, |(qi, _)| *qi)
-                .expect("query routed to its own shard");
-            rounds[slot].push((port, batch));
-        }
-    }
-    for ((_, rq), round) in bucket.into_iter().zip(rounds) {
-        rq.plan.dataflow.run_round(round);
-    }
-    (drained.len(), messages)
-}
-
-fn trace_shard_drain(hub: &ObsHub, shard: usize, batches: usize, messages: u64, nanos: u64) {
+/// Record one drain worker's sweep (see [`TraceEvent::ShardDrain`]).
+fn trace_drain(hub: &ObsHub, worker: usize, batches: usize, messages: u64, nanos: u64) {
     hub.trace(|| TraceEvent::ShardDrain {
-        shard: shard.min(u16::MAX as usize) as u16,
+        shard: worker.min(u16::MAX as usize) as u16,
         batches: batches.min(u32::MAX as usize) as u32,
         messages: messages.min(u32::MAX as u64) as u32,
         nanos,
@@ -1532,7 +1446,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_admitted_alone_into_empty_shard() {
+    fn oversized_batch_admitted_alone_into_empty_ingress() {
         let mut e = Engine::with_config(EngineConfig::serial().with_ingress_capacity(4));
         e.register_event_type("T", vec![("v", FieldType::Int)]);
         let plan = {
@@ -1548,7 +1462,7 @@ mod tests {
             h.insert(i, vec![Value::Int(i as i64)]).unwrap();
         }
         h.try_flush()
-            .expect("an empty shard admits one oversized batch");
+            .expect("an empty ingress admits one oversized batch");
         drop(h);
         e.run_to_quiescence();
         assert_eq!(e.collector(q).stats().inserts, 10);
@@ -1610,23 +1524,6 @@ mod tests {
         b.enqueue_batch("T", &batch).unwrap();
         b.source("T").unwrap().send(Message::Cti(t(100)));
         assert_eq!(a.collector(qa).delta_log(), b.collector(qb).delta_log());
-    }
-
-    #[test]
-    fn queries_spread_round_robin_over_shards() {
-        let mut e = Engine::with_config(EngineConfig::threaded(3));
-        assert_eq!(e.shard_count(), 3);
-        for ty in ["INSTALL", "SHUTDOWN", "RESTART"] {
-            e.register_event_type(ty, vec![("Machine_Id", FieldType::Str)]);
-        }
-        for i in 0..5 {
-            e.register_query(
-                &format!("EVENT Q{i} WHEN SEQUENCE(INSTALL x, SHUTDOWN y, 1 hours)"),
-                ConsistencySpec::middle(),
-            )
-            .unwrap();
-        }
-        assert_eq!(e.shard_of_query, vec![0, 1, 2, 0, 1]);
     }
 
     #[test]

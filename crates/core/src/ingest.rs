@@ -11,7 +11,7 @@
 //! exactly like a borrowed handle and flush whole batches across the
 //! thread boundary (events stay `Arc`-shared — a hand-off is refcount
 //! bumps, never payload copies), while the engine thread interleaves
-//! channel drains with sharded quiescence passes via
+//! channel drains with quiescence passes via
 //! [`Engine::pump`](crate::Engine::pump) /
 //! [`Engine::run_pipelined`](crate::Engine::run_pipelined).
 //!
@@ -24,8 +24,8 @@
 //! | threads | provider == drain thread | providers on any threads, engine pumps |
 //! | routing | resolved once, cannot go stale (borrow) | resolved once, snapshot at open/clone time |
 //! | staging | local batch, auto-flush at 512 | local batch, auto-flush at 512 |
-//! | flush target | bounded per-shard ingress | bounded mpsc channel ([`EngineConfig::channel_depth`](crate::EngineConfig::channel_depth)) |
-//! | backpressure | `flush` drains the engine; `try_flush` → [`EngineError::IngressFull`] | `flush` blocks on the channel; `try_flush` → [`EngineError::IngressFull`] |
+//! | flush target | the engine's bounded ingress queue ([`EngineConfig::ingress_capacity`](crate::EngineConfig::ingress_capacity)) | bounded mpsc channel ([`EngineConfig::channel_depth`](crate::EngineConfig::channel_depth)) |
+//! | backpressure | `flush` drains the engine; `try_flush` → [`EngineError::IngressFull`] (drain with `run_to_quiescence`) | `flush` blocks on the channel; `try_flush` → [`EngineError::IngressFull`] (drain with `pump`) |
 //! | per-message latency | [`send`](crate::SourceHandle::send) cascades immediately | none — batches run at the next pump round |
 //! | drains the engine | yes (flush under pressure, `sync`) | never — the pump does |
 //! | end of stream | drop the handle | drop (disconnect) or [`ChannelSource::seal`] |
@@ -38,8 +38,8 @@
 //!
 //! Every flush is stamped with its origin `(producer key, emission seq)`
 //! and the pump releases admitted batches through a [`Resequencer`] in
-//! canonical `(round, producer key)` order, one sharded quiescence pass
-//! per round.
+//! canonical `(round, producer key)` order, one quiescence pass per
+//! round.
 //! Engine-side execution is therefore a pure function of the *logical*
 //! per-producer streams: however the provider threads interleave, the
 //! admission schedule — and with it every query's output delta log, at
@@ -100,7 +100,7 @@ pub(crate) struct IngressBatch {
     pub(crate) key: u64,
     pub(crate) seq: u64,
     pub(crate) event_type: Arc<str>,
-    pub(crate) subs: Arc<[(usize, SubscriberList)]>,
+    pub(crate) subs: SubscriberList,
     pub(crate) batch: MessageBatch,
 }
 
@@ -243,10 +243,9 @@ pub struct PumpProgress {
     pub rounds_stalled: u64,
 }
 
-/// Per-shard ingress counters, surfaced by
-/// [`Engine::ingress_stats`](crate::Engine::ingress_stats) /
-/// [`Engine::shard_ingress_stats`](crate::Engine::shard_ingress_stats):
-/// the shards count straight into the `cedr-obs` snapshot type.
+/// Engine ingress counters, surfaced by
+/// [`Engine::ingress_stats`](crate::Engine::ingress_stats): the engine
+/// counts straight into the `cedr-obs` snapshot type.
 pub use cedr_obs::IngressCounters as IngressStats;
 
 /// A `Send + Clone` ingestion handle on one named input stream, with no
@@ -280,8 +279,8 @@ pub struct ChannelSource {
     event_type: Arc<str>,
     /// Payload arity of the event type, resolved at open time.
     arity: usize,
-    /// Resolved `(shard, subscribers)` routing snapshot.
-    subs: Arc<[(usize, SubscriberList)]>,
+    /// Resolved `(query, port)` subscribers snapshot.
+    subs: SubscriberList,
     tx: SyncSender<IngressBatch>,
     core: Arc<ProducerCore>,
     staged: MessageBatch,
@@ -305,7 +304,7 @@ impl ChannelSource {
     pub(crate) fn new(
         event_type: Arc<str>,
         arity: usize,
-        subs: Arc<[(usize, SubscriberList)]>,
+        subs: SubscriberList,
         tx: SyncSender<IngressBatch>,
         key: u64,
         board: Arc<DisconnectBoard>,
@@ -347,7 +346,7 @@ impl ChannelSource {
 
     /// Number of `(query, port)` subscribers in the routing snapshot.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.iter().map(|(_, s)| s.len()).sum()
+        self.subs.len()
     }
 
     /// Messages currently staged locally (not yet flushed).
@@ -446,9 +445,11 @@ impl ChannelSource {
     /// [`flush`](ChannelSource::flush) with backpressure surfaced: if the
     /// bounded channel is full, nothing moves, the batch stays staged,
     /// and [`EngineError::IngressFull`]
-    /// is returned (with `shard = 0` and capacities counted in *batches*
-    /// — the channel bounds emissions, not messages). The caller decides
-    /// whether to retry, shed load, or block.
+    /// is returned (capacities counted in *emissions* — the channel
+    /// bounds batches, not messages). The caller decides whether to retry,
+    /// shed load, or block; only the engine thread's
+    /// [`Engine::pump`](crate::Engine::pump) /
+    /// [`Engine::run_pipelined`](crate::Engine::run_pipelined) make room.
     pub fn try_flush(&mut self) -> Result<(), EngineError> {
         self.emit(false)
     }
@@ -494,7 +495,6 @@ impl ChannelSource {
                     self.staged = full.batch;
                     return Err(EngineError::IngressFull {
                         event_type: self.event_type.to_string(),
-                        shard: 0,
                         capacity: self.depth,
                         staged: self.depth,
                         batch: len,
@@ -602,8 +602,8 @@ impl Engine {
     /// A *round* is the canonical unit of admission — one emission from
     /// every producer whose turn it is, released in `(round, producer
     /// key)` order by the resequencer (see the module docs) and executed
-    /// with **one quiescence pass per round** (serial or sharded, per
-    /// [`EngineConfig::threads`](crate::EngineConfig::threads)). Because
+    /// with **one quiescence pass per round** (its drain serial or split
+    /// per [`EngineConfig::threads`](crate::EngineConfig::threads)). Because
     /// both the admission order and the pass structure are pure functions
     /// of the logical emissions, pumped execution is bit-identical to
     /// single-threaded ingestion of the same emissions at every
@@ -690,13 +690,13 @@ impl Engine {
                     let IngressBatch {
                         event_type,
                         subs,
-                        batch,
+                        mut batch,
                         ..
                     } = item;
                     // Blocking admission never fails; with the pump
-                    // draining every round, the shard ingress is near
-                    // empty anyway.
-                    let _ = self.admit_resolved(&event_type, batch, &subs, true);
+                    // draining every round, the ingress is near empty
+                    // anyway.
+                    let _ = self.admit_resolved(&event_type, &mut batch, &subs, true);
                 }
                 self.run_to_quiescence();
             }
@@ -883,6 +883,10 @@ mod tests {
         }
         let err = src.try_flush().unwrap_err();
         assert!(matches!(err, EngineError::IngressFull { .. }), "{err}");
+        assert!(
+            err.to_string().contains("pump"),
+            "a full channel names the remedy that drains it: {err}"
+        );
         assert_eq!(src.staged_len(), 1, "failed try_flush must not lose data");
         assert!(
             e.ingress_stats().backpressure_events >= 1,

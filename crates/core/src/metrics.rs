@@ -4,8 +4,8 @@
 //! (per-query collector stats, channel pump state, checkpoint
 //! accounting) and the [`ObsHub`](cedr_obs::ObsHub)'s histograms/trace
 //! ring into the plain [`cedr_obs`] snapshot types. Per-node operator
-//! stats and per-shard ingress counters need no conversion: the shells
-//! count straight into [`cedr_obs::OpStats`], the shards into
+//! stats and ingress counters need no conversion: the shells count
+//! straight into [`cedr_obs::OpStats`], the ingress queue into
 //! [`cedr_obs::IngressCounters`].
 //! Rendering lives in `cedr_obs` (see
 //! [`MetricsSnapshot::render_prometheus`] /
@@ -63,9 +63,6 @@ impl Engine {
             })
             .collect();
 
-        let shards = self.shard_ingress_stats();
-        let ingress_total = self.ingress_stats();
-
         // The channel block is present whenever a channel ingress exists
         // or ever existed (seal tears the channel down but the semantic
         // totals and retired backpressure live on in `channel_acct`).
@@ -109,8 +106,7 @@ impl Engine {
                 sealed: self.sealed,
                 threads: self.config.threads as u64,
                 queries,
-                shards,
-                ingress_total,
+                ingress_total: self.ingress_stats(),
                 channel,
                 checkpoints: self.ckpt,
             },
@@ -162,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_unify_query_shard_and_round_counters() {
+    fn metrics_unify_query_ingress_and_round_counters() {
         let (mut e, q) = engine(EngineConfig::serial());
         let mut src = e.source("T").unwrap();
         for i in 0..5u64 {
@@ -182,11 +178,9 @@ mod tests {
             e.stats(q).out_inserts,
             "snapshot totals mirror Engine::stats"
         );
-        assert_eq!(snap.counters.shards.len(), e.shard_count());
-        assert_eq!(
-            snap.counters.ingress_total.staged_messages,
-            e.ingress_stats().staged_messages
-        );
+        assert_eq!(snap.counters.ingress_total, e.ingress_stats());
+        // Five inserts plus the seal's CTI(∞), each staged once.
+        assert_eq!(snap.counters.ingress_total.staged_messages, 6);
         assert!(snap.counters.channel.is_none(), "no channel ever existed");
     }
 
@@ -219,8 +213,8 @@ mod tests {
         );
         assert_eq!(sealed.counters.ingress_total.backpressure_events, 1);
         assert_eq!(
-            sealed.counters.shards[0].backpressure_events, 0,
-            "channel backpressure is no longer mis-attributed to shard 0"
+            e.stats.backpressure_events, 0,
+            "channel backpressure is not attributed to the engine ingress"
         );
     }
 

@@ -6,10 +6,10 @@
 //! repairing output stream. This module is that surface:
 //!
 //! * [`SourceHandle`] — a provider session on one input stream. Opened
-//!   with [`Engine::source`], it resolves the event type and its shard
-//!   routing **once**, stages messages in a local [`MessageBatch`]
+//!   with [`Engine::source`], it resolves the event type and its
+//!   subscribers **once**, stages messages in a local [`MessageBatch`]
 //!   through typed builders, and flushes against the engine's bounded
-//!   per-shard ingress with blocking ([`SourceHandle::flush`]) or
+//!   ingress queue with blocking ([`SourceHandle::flush`]) or
 //!   backpressure-surfacing ([`SourceHandle::try_flush`]) semantics.
 //! * [`Subscription`] — a consumer cursor over a query's append-only
 //!   [`OutputDelta`] log. Opened with [`Engine::subscribe`], each
@@ -57,8 +57,8 @@ pub struct SourceHandle<'e> {
     event_type: String,
     /// Payload arity of the event type, resolved at open time.
     arity: usize,
-    /// Per-shard `(shard, subscribers)` routing, resolved at open time.
-    subs: Vec<(usize, SubscriberList)>,
+    /// `(query, port)` subscribers, resolved at open time.
+    subs: SubscriberList,
     staged: MessageBatch,
     autoflush: usize,
 }
@@ -68,7 +68,7 @@ impl<'e> SourceHandle<'e> {
         engine: &'e mut Engine,
         event_type: String,
         arity: usize,
-        subs: Vec<(usize, SubscriberList)>,
+        subs: SubscriberList,
     ) -> Self {
         SourceHandle {
             engine,
@@ -88,7 +88,7 @@ impl<'e> SourceHandle<'e> {
     /// Number of `(query, port)` subscribers the resolved routing fans
     /// out to.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.iter().map(|(_, s)| s.len()).sum()
+        self.subs.len()
     }
 
     /// Messages currently staged locally (not yet flushed).
@@ -173,50 +173,27 @@ impl<'e> SourceHandle<'e> {
         }
     }
 
-    /// Move the staged batch to the engine's ingress queues, draining the
-    /// engine first if a target shard's bounded ingress lacks room
-    /// (backpressure by blocking). Never fails; an empty staging batch is
-    /// a no-op. The staged work runs at the next
-    /// [`Engine::run_to_quiescence`] (or [`Subscription::poll`]).
+    /// Move the staged batch to the engine's ingress queue, draining the
+    /// engine first if the bounded ingress lacks room (backpressure by
+    /// blocking). Never fails; an empty staging batch is a no-op. The
+    /// staged work runs at the next [`Engine::run_to_quiescence`] (or
+    /// [`Subscription::poll`]).
     pub fn flush(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.staged);
         // Blocking admission cannot fail today; should a future error
         // path appear, swallowing it here keeps `flush` (and the drop
         // that routes through it) panic-free by construction.
         let _ = self
             .engine
-            .admit_resolved(&self.event_type, batch, &self.subs, true);
+            .admit_resolved(&self.event_type, &mut self.staged, &self.subs, true);
     }
 
     /// [`flush`](SourceHandle::flush) with backpressure surfaced: if the
-    /// staged batch does not fit a target shard's bounded ingress,
-    /// nothing moves, the batch stays staged, and
-    /// [`EngineError::IngressFull`] is returned — the caller decides
-    /// whether to drain, retry, or shed load.
+    /// staged batch does not fit the bounded ingress, nothing moves, the
+    /// batch stays staged, and [`EngineError::IngressFull`] is returned —
+    /// the caller decides whether to drain, retry, or shed load.
     pub fn try_flush(&mut self) -> Result<(), EngineError> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        // Capacity pre-check, then move: the success path never copies
-        // the staged batch, and after a passed check the admission below
-        // cannot trigger a backpressure drain.
-        if let Err(full) =
-            self.engine
-                .check_capacity(&self.event_type, self.staged.len(), &self.subs)
-        {
-            if let EngineError::IngressFull { shard, .. } = full {
-                self.engine.note_backpressure(shard);
-            }
-            return Err(full);
-        }
-        let batch = std::mem::take(&mut self.staged);
         self.engine
-            .admit_resolved(&self.event_type, batch, &self.subs, false)
-            .expect("admission cannot fail after a passed capacity check");
-        Ok(())
+            .admit_resolved(&self.event_type, &mut self.staged, &self.subs, false)
     }
 
     /// Deliver one message immediately — flush anything staged, then run
@@ -225,9 +202,7 @@ impl<'e> SourceHandle<'e> {
     /// to quiescence before this returns. This is the latency-first mode;
     /// prefer staging + flush when the caller holds a run of messages.
     pub fn send(&mut self, msg: Message) {
-        if !self.staged.is_empty() {
-            self.flush();
-        }
+        self.flush();
         self.engine.send_resolved(&self.subs, msg);
     }
 

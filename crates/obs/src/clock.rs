@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotonic nanosecond source. Implementations must be cheap and
-/// thread-safe: the engine reads it from shard workers and channel
+/// thread-safe: the engine reads it from drain workers and channel
 /// producer threads.
 pub trait ObsClock: Send + Sync {
     /// Nanoseconds since an arbitrary (per-clock) origin. Must be

@@ -217,38 +217,37 @@ impl MetricsSnapshot {
             }
         }
 
-        // Per-shard ingress counters.
-        for (name, help, get) in [
+        // Engine ingress counters.
+        let ingress = &c.ingress_total;
+        for (name, help, value) in [
             (
-                "cedr_shard_staged_batches_total",
-                "Batches staged into the shard",
-                (|s| s.staged_batches) as fn(&crate::snapshot::IngressCounters) -> u64,
+                "cedr_ingress_staged_batches_total",
+                "Batches staged into the engine ingress",
+                ingress.staged_batches,
             ),
             (
-                "cedr_shard_staged_messages_total",
-                "Messages staged into the shard",
-                |s| s.staged_messages,
+                "cedr_ingress_staged_messages_total",
+                "Messages staged into the engine ingress",
+                ingress.staged_messages,
             ),
             (
-                "cedr_shard_admitted_batches_total",
-                "Batches admitted from the shard into a round",
-                |s| s.admitted_batches,
+                "cedr_ingress_admitted_batches_total",
+                "Batches admitted from the ingress into a round",
+                ingress.admitted_batches,
             ),
             (
-                "cedr_shard_admitted_messages_total",
-                "Messages admitted from the shard into a round",
-                |s| s.admitted_messages,
+                "cedr_ingress_admitted_messages_total",
+                "Messages admitted from the ingress into a round",
+                ingress.admitted_messages,
             ),
             (
-                "cedr_shard_backpressure_events_total",
-                "Admissions that hit a full shard",
-                |s| s.backpressure_events,
+                "cedr_ingress_backpressure_events_total",
+                "Admissions that hit a full ingress or channel",
+                ingress.backpressure_events,
             ),
         ] {
             e.family(name, "counter", help);
-            for (i, s) in c.shards.iter().enumerate() {
-                e.sample(name, &[("shard", i.to_string())], get(s));
-            }
+            e.sample(name, &[], value);
         }
 
         if let Some(ch) = &c.channel {
@@ -382,7 +381,7 @@ impl MetricsSnapshot {
             ),
             (
                 "cedr_shard_drain_nanos",
-                "Engine shard drain duration within a parallel round",
+                "Drain worker sweep duration within a parallel round",
                 &t.shard_drain,
             ),
             (
@@ -392,7 +391,7 @@ impl MetricsSnapshot {
             ),
             (
                 "cedr_flush_block_nanos",
-                "Synchronous drain forced by a full shard on blocking flush",
+                "Synchronous drain forced by a full ingress on blocking flush",
                 &t.flush_block,
             ),
             (
@@ -475,21 +474,10 @@ impl MetricsSnapshot {
         }
 
         let _ = writeln!(out, "-- ingress --");
-        for (i, s) in c.shards.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  shard {i}: staged {}/{}msg  admitted {}/{}msg  backpressure {}",
-                s.staged_batches,
-                s.staged_messages,
-                s.admitted_batches,
-                s.admitted_messages,
-                s.backpressure_events
-            );
-        }
         let t = &c.ingress_total;
         let _ = writeln!(
             out,
-            "  total:   staged {}/{}msg  admitted {}/{}msg  backpressure {}",
+            "  staged {}/{}msg  admitted {}/{}msg  backpressure {}",
             t.staged_batches,
             t.staged_messages,
             t.admitted_batches,
@@ -544,7 +532,7 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "-- timings --");
         for (label, h) in [
             ("round drain    ", &self.timings.round_drain),
-            ("shard drain    ", &self.timings.shard_drain),
+            ("drain worker   ", &self.timings.shard_drain),
             ("ingest→delta   ", &self.timings.ingest_to_delta),
             ("flush block    ", &self.timings.flush_block),
             ("channel block  ", &self.timings.channel_block),
@@ -824,13 +812,13 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{ChannelCounters, IngressCounters, NodeCounters, QueryCounters};
+    use crate::snapshot::{ChannelCounters, NodeCounters, QueryCounters};
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.counters.rounds_completed = 12;
         snap.counters.threads = 4;
-        snap.counters.shards = vec![IngressCounters::default(); 4];
+        snap.counters.ingress_total.staged_messages = 30;
         let mut q = QueryCounters {
             index: 0,
             name: "load\"avg\"".into(), // exercises label escaping
@@ -873,6 +861,7 @@ mod tests {
         assert!(summary.families > 20, "families = {}", summary.families);
         assert!(summary.samples > 30, "samples = {}", summary.samples);
         assert!(text.contains("cedr_rounds_completed_total 12"));
+        assert!(text.contains("\ncedr_ingress_staged_messages_total 30\n"));
         assert!(text.contains("producer=\"7\"} 3"));
         assert!(text.contains("query=\"load\\\"avg\\\"\""));
     }

@@ -1,7 +1,7 @@
 //! [`ObsHub`] — the shared observability handle.
 //!
 //! One hub is created per engine and threaded (as an `Arc`) into every
-//! place that measures: the engine round loop and its shard workers,
+//! place that measures: the engine round loop and its drain workers,
 //! the ingest pump and the channel producer handles. It owns the clock
 //! seam, the eight latency histograms and the optional trace ring.
 //!
@@ -21,12 +21,12 @@ use std::sync::{Arc, Mutex};
 pub struct Timings {
     /// One `run_to_quiescence` drain, end to end.
     pub round_drain: Histogram,
-    /// One engine shard's staged-input drain within a parallel round.
+    /// One drain worker's sweep within a parallel round.
     pub shard_drain: Histogram,
     /// First staged admission of a round → that round's output deltas
     /// appended (the ingestion→subscription-visible latency).
     pub ingest_to_delta: Histogram,
-    /// Synchronous drain forced by a full shard on a blocking flush.
+    /// Synchronous drain forced by a full ingress on a blocking flush.
     pub flush_block: Histogram,
     /// Channel producer blocked in `send` on the full ingress channel.
     pub channel_block: Histogram,

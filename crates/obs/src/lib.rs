@@ -9,11 +9,11 @@
 //!   the [`ObsClock`] trait so tests can inject a [`ManualClock`] and
 //!   prove that counters never depend on timing.
 //! - [`hist`] — allocation-free log2-bucketed [`Histogram`]s for latency
-//!   distributions (round drain, shard drain, ingest→delta, blocking).
+//!   distributions (round drain, drain worker, ingest→delta, blocking).
 //! - [`trace`] — a bounded, allocation-light [`TraceRing`] of structured
 //!   [`TraceEvent`]s; disabled rings cost one branch per hook.
 //! - [`hub`] — [`ObsHub`], the shared handle threaded through the engine,
-//!   shard workers and channel producers.
+//!   drain workers and channel producers.
 //! - [`stats`] — [`OpStats`], the per-operator counters every layer above
 //!   shares: the runtime's shells fill them, checkpoints persist them,
 //!   snapshots report them.

@@ -2,7 +2,7 @@
 //!
 //! One [`MetricsSnapshot`] unifies everything the engine can observe:
 //! per-query / per-node operator counters (the shells' own [`OpStats`],
-//! cloned, not converted), per-shard ingress counters, channel pump and
+//! cloned, not converted), engine ingress counters, channel pump and
 //! resequencer state, checkpoint accounting, the latency histograms and
 //! trace-ring occupancy. The struct is plain data — no engine references
 //! — so callers can diff, store or render it freely.
@@ -19,9 +19,11 @@
 //! 2. **Execution counters** (the rest of [`CounterSnapshot`]) — exact
 //!    and replayable for a *fixed* configuration, but configuration-
 //!    dependent: per-node operator stats vary with fuse/compile (a fused
-//!    graph has fewer nodes), per-shard ingress stats vary with the
-//!    thread count (each target shard stages separately), and channel
-//!    backpressure depends on producer/consumer timing.
+//!    graph has fewer nodes), ingress backpressure varies with the
+//!    ingress capacity, and channel backpressure depends on
+//!    producer/consumer timing. None of them varies with the worker
+//!    count: the engine has one ingress queue, and workers only split
+//!    its drain.
 //! 3. **Timing metrics** ([`MetricsSnapshot::timings`]) — wall-clock
 //!    histograms behind the [`crate::ObsClock`] seam; never compared for
 //!    equality.
@@ -75,13 +77,13 @@ pub struct QueryCounters {
     pub subscriptions: Vec<SubscriptionLag>,
 }
 
-/// Per-shard ingress observability: what was staged onto the bounded
-/// ingress, what the drains admitted into dataflows, and how often
+/// Ingress observability: what was staged onto the engine's bounded
+/// ingress queue, what the drains admitted into dataflows, and how often
 /// admission hit the capacity bound. The engine counts into this struct
 /// directly (`cedr_core::IngressStats` is a re-export).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngressCounters {
-    /// Batches staged onto this shard's ingress queue.
+    /// Batches staged onto the ingress queue.
     pub staged_batches: u64,
     /// Messages inside those batches.
     pub staged_messages: u64,
@@ -89,20 +91,9 @@ pub struct IngressCounters {
     pub admitted_batches: u64,
     /// Messages delivered by those drains.
     pub admitted_messages: u64,
-    /// Times admission found this shard at capacity (blocking drains and
+    /// Times admission found the ingress at capacity (blocking drains and
     /// `try_*` rejections both count).
     pub backpressure_events: u64,
-}
-
-impl IngressCounters {
-    /// Fold another shard's counters into this one.
-    pub fn absorb(&mut self, other: &IngressCounters) {
-        self.staged_batches += other.staged_batches;
-        self.staged_messages += other.staged_messages;
-        self.admitted_batches += other.admitted_batches;
-        self.admitted_messages += other.admitted_messages;
-        self.backpressure_events += other.backpressure_events;
-    }
 }
 
 /// Channel ingress (pump + resequencer) state and totals. Present only
@@ -159,9 +150,8 @@ pub struct CounterSnapshot {
     /// snapshot (execution context, not semantic).
     pub threads: u64,
     pub queries: Vec<QueryCounters>,
-    /// Per-shard ingress counters (length = thread count).
-    pub shards: Vec<IngressCounters>,
-    /// All shards folded together, including channel backpressure.
+    /// Engine ingress counters, with channel backpressure folded into
+    /// `backpressure_events`.
     pub ingress_total: IngressCounters,
     pub channel: Option<ChannelCounters>,
     pub checkpoints: CheckpointCounters,
@@ -287,13 +277,10 @@ mod tests {
     fn semantic_projection_drops_execution_counters() {
         let mut a = sample();
         let mut b = sample();
-        // Execution-class divergence: different shard layouts and node
+        // Execution-class divergence: ingress, thread gauge and node
         // stats must not affect the semantic view.
         a.counters.threads = 1;
-        a.counters.shards.push(IngressCounters {
-            staged_batches: 5,
-            ..Default::default()
-        });
+        a.counters.ingress_total.backpressure_events = 5;
         b.counters.threads = 4;
         b.counters.queries[0].total.fused_stages = 3;
         assert_eq!(a.semantic(), b.semantic());

@@ -14,8 +14,10 @@ pub enum TraceEvent {
     RoundStart { round: u64, staged_batches: u32 },
     /// `run_to_quiescence` finished; `nanos` is the drain duration.
     RoundEnd { round: u64, nanos: u64 },
-    /// One engine shard's staged input was drained (parallel path: per
-    /// worker; serial path: one event for the whole sweep with shard 0).
+    /// One drain worker ran its queries' rounds: `shard` is the worker
+    /// index, `batches`/`messages` the staged input reaching its queries
+    /// (parallel path: per worker; serial path: one event for the whole
+    /// sweep with worker 0).
     ShardDrain {
         shard: u16,
         batches: u32,
@@ -28,8 +30,9 @@ pub enum TraceEvent {
         node: u16,
         batch_len: u32,
     },
-    /// Ingress admission hit a full shard and drained (or errored).
-    Backpressure { shard: u16 },
+    /// Ingress admission hit the full engine ingress and drained (or
+    /// errored).
+    Backpressure,
     /// A channel producer hit the full ingress channel.
     ChannelBackpressure { producer: u64 },
     /// The pump is holding buffered rounds waiting for a slow producer.

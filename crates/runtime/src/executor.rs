@@ -45,7 +45,7 @@
 //! so a pass costs O(dirty·log) instead of rescanning every node per step.
 //! A dataflow is single-threaded and owns all of its state; parallelism
 //! lives one layer up, where `cedr-core` drains whole dataflows (one per
-//! standing query) on per-shard worker threads. Per-shell arrival order is
+//! standing query) on drain worker threads. Per-shell arrival order is
 //! a function of the staged rounds alone, so execution is deterministic at
 //! every consistency level (only *caller-side batch splitting* moves
 //! Weak's forgetting horizon race, as documented at

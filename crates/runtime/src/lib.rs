@@ -34,8 +34,8 @@
 //! sees its input in the same order. A [`executor::Dataflow`] itself is
 //! single-threaded — one quiescence pass is one serial ready-queue sweep —
 //! and owns all of its state, so whole dataflows are the unit of
-//! parallelism: `cedr-core` assigns each standing query to an engine shard
-//! and drains the shards on scoped worker threads. Every dataflow still
+//! parallelism: `cedr-core` assigns each standing query to a drain worker
+//! and runs the workers on scoped threads. Every dataflow still
 //! sees its rounds in enqueue order, so threaded and serial engine drains
 //! are indistinguishable at Strong, Middle *and* Weak consistency (only
 //! caller-side batch splitting can move Weak's forgetting horizon — see

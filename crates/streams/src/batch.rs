@@ -267,9 +267,9 @@ impl MessageBatch {
     /// The struct-of-arrays [`ColumnarView`] over this batch, built lazily
     /// on first access and cached. Clones of this batch share the cached
     /// view; any mutation (`push`, `extend`, `push_cti`, `clear`)
-    /// invalidates this batch's cache without touching clones', and split
-    /// products ([`MessageBatch::split_at`], [`MessageBatch::chunks`],
-    /// [`MessageBatch::chunks_of`]) start with fresh, unbuilt caches.
+    /// invalidates this batch's cache without touching clones', and a
+    /// batch built from another's messages starts with a fresh, unbuilt
+    /// cache.
     pub fn columnar(&self) -> &ColumnarView {
         self.columnar.get_or_build(&self.msgs)
     }
@@ -284,7 +284,7 @@ impl MessageBatch {
     /// lazily on first access and cached under the same contract as
     /// [`MessageBatch::columnar`]: clones share the built columns, any
     /// mutation invalidates this batch's cache without touching clones',
-    /// and split products start fresh and unbuilt.
+    /// and batches built from its messages start fresh and unbuilt.
     pub fn payload_columns(&self) -> &PayloadColumns {
         self.payloads.get_or_build(&self.msgs)
     }
@@ -296,54 +296,6 @@ impl MessageBatch {
 
     pub fn into_messages(self) -> Vec<Message> {
         self.msgs
-    }
-
-    /// Split into `[0, mid)` and `[mid, len)` without copying payloads
-    /// (messages are `Arc`-shared clones). `mid` is clamped to the length.
-    pub fn split_at(&self, mid: usize) -> (MessageBatch, MessageBatch) {
-        let mid = mid.min(self.msgs.len());
-        (
-            MessageBatch::from(self.msgs[..mid].to_vec()),
-            MessageBatch::from(self.msgs[mid..].to_vec()),
-        )
-    }
-
-    /// Cut into `n` contiguous, near-equal chunks (lengths differ by at
-    /// most one; earlier chunks are larger). Chunks preserve order, so
-    /// concatenating them always reconstructs the batch; re-merging them
-    /// with [`merge_by_sync`](crate::merge::merge_by_sync) does too **for
-    /// sync-ordered batches** (a disordered tape — e.g. one produced by
-    /// `disorder::scramble` — would be re-sorted by the merge rule).
-    /// Returns fewer than `n` chunks when the batch is shorter than `n`.
-    pub fn chunks(&self, n: usize) -> Vec<MessageBatch> {
-        let n = n.max(1).min(self.msgs.len().max(1));
-        let base = self.msgs.len() / n;
-        let rem = self.msgs.len() % n;
-        let mut out = Vec::with_capacity(n);
-        let mut at = 0;
-        for i in 0..n {
-            let len = base + usize::from(i < rem);
-            if len == 0 {
-                break;
-            }
-            out.push(MessageBatch::from(self.msgs[at..at + len].to_vec()));
-            at += len;
-        }
-        out
-    }
-
-    /// Cut into contiguous chunks of at most `size` messages (the last
-    /// chunk may be shorter). Like [`MessageBatch::chunks`] but sized by
-    /// *chunk length* instead of chunk count — the natural knob when the
-    /// chunk is a delivery run whose length is the amortisation factor
-    /// (e.g. a bench comparing per-message `chunks_of(1)` against
-    /// batch-native `chunks_of(256)` ingestion of the same tape).
-    pub fn chunks_of(&self, size: usize) -> Vec<MessageBatch> {
-        let size = size.max(1);
-        self.msgs
-            .chunks(size)
-            .map(|c| MessageBatch::from(c.to_vec()))
-            .collect()
     }
 }
 
@@ -400,23 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_of_slices_by_length_and_reassembles() {
-        let mut b = MessageBatch::new();
-        for i in 0..10u64 {
-            b.push(Message::insert(i, iv(i, i + 1), Payload::empty()));
-        }
-        let chunks = b.chunks_of(4);
-        assert_eq!(
-            chunks.iter().map(MessageBatch::len).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
-        let glued: MessageBatch = chunks.into_iter().flatten().collect();
-        assert_eq!(glued, b);
-        assert_eq!(b.chunks_of(1).len(), 10, "per-message slicing");
-        assert_eq!(b.chunks_of(64).len(), 1, "oversized chunk = whole batch");
-    }
-
-    #[test]
     fn batch_round_trips_through_vec() {
         let msgs = vec![Message::Cti(t(1)), Message::Cti(t(2))];
         let b = MessageBatch::from(msgs.clone());
@@ -432,46 +367,9 @@ mod tests {
         b
     }
 
-    #[test]
-    fn slicing_an_empty_batch() {
-        let e = MessageBatch::new();
-        let (l, r) = e.split_at(0);
-        assert!(l.is_empty() && r.is_empty());
-        let (l, r) = e.split_at(5);
-        assert!(l.is_empty() && r.is_empty(), "mid past len clamps");
-        assert!(e.chunks_of(4).is_empty(), "no chunks from nothing");
-        assert_eq!(e.chunks(3).len(), 0);
-        assert!(e.columnar().is_empty());
-    }
-
-    #[test]
-    fn split_at_edges_and_clamping() {
-        let b = ten();
-        let (l, r) = b.split_at(0);
-        assert!(l.is_empty());
-        assert_eq!(r, b);
-        let (l, r) = b.split_at(10);
-        assert_eq!(l, b);
-        assert!(r.is_empty());
-        let (l, r) = b.split_at(99);
-        assert_eq!(l, b, "oversized mid clamps to len");
-        assert!(r.is_empty());
-        let (l, r) = b.split_at(1);
-        assert_eq!((l.len(), r.len()), (1, 9));
-    }
-
-    #[test]
-    fn chunk_size_zero_and_one_and_oversized() {
-        let b = ten();
-        // Size 0 clamps to 1 rather than looping forever or panicking.
-        assert_eq!(b.chunks_of(0).len(), 10);
-        assert_eq!(b.chunks_of(1).len(), 10);
-        assert_eq!(b.chunks_of(11).len(), 1);
-        assert_eq!(b.chunks(0).len(), 1, "count 0 clamps to 1 chunk");
-        assert_eq!(b.chunks(1).len(), 1);
-        let c = b.chunks(99);
-        assert_eq!(c.len(), 10, "more chunks than messages caps at len");
-        assert!(c.iter().all(|c| c.len() == 1));
+    /// `[lo, hi)` of `b`'s messages as a new batch.
+    fn slice(b: &MessageBatch, lo: usize, hi: usize) -> MessageBatch {
+        MessageBatch::from(b.as_slice()[lo..hi].to_vec())
     }
 
     #[test]
@@ -499,15 +397,13 @@ mod tests {
             clone.columnar_is_materialized(),
             "clones share the cached view"
         );
-        // Split products describe different runs: fresh, unbuilt caches.
-        let (l, r) = b.split_at(4);
+        // Batches cut from its messages describe different runs: fresh,
+        // unbuilt caches.
+        let (l, r) = (slice(&b, 0, 4), slice(&b, 4, 10));
         assert!(!l.columnar_is_materialized());
         assert!(!r.columnar_is_materialized());
         assert_eq!(l.columnar().len(), 4);
         assert_eq!(r.columnar().len(), 6);
-        for c in b.chunks_of(3) {
-            assert!(!c.columnar_is_materialized());
-        }
         // Mutating one clone never poisons the other's built view.
         let mut m = b.clone();
         m.push_cti(t(9));
@@ -536,14 +432,11 @@ mod tests {
         // The two caches are independent: touching payload columns does
         // not materialise the temporal view, and vice versa.
         assert!(!b.columnar_is_materialized());
-        let (l, r) = b.split_at(2);
+        let (l, r) = (slice(&b, 0, 2), slice(&b, 2, 6));
         assert!(!l.payload_columns_is_materialized());
         assert!(!r.payload_columns_is_materialized());
         assert_eq!(l.payload_columns().rows(), 2);
         assert_eq!(r.payload_columns().rows(), 4);
-        for c in b.chunks_of(4) {
-            assert!(!c.payload_columns_is_materialized());
-        }
         // Mutation invalidates this batch only, never a clone's view.
         let mut m = b.clone();
         m.push_cti(t(9));

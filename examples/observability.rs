@@ -4,10 +4,10 @@
 //! the tail of the structured trace ring.
 //!
 //! The snapshot unifies counters that previously lived behind separate
-//! accessors (per-query collector stats, per-node operator stats,
-//! per-shard ingress stats, channel pump state, checkpoint accounting)
-//! with the latency histograms the engine records around rounds, shard
-//! drains and channel sends. Tracing is opt-in: this example turns it on
+//! accessors (per-query collector stats, per-node operator stats, the
+//! engine's ingress counters, channel pump state, checkpoint accounting)
+//! with the latency histograms the engine records around rounds, drain
+//! workers and channel sends. Tracing is opt-in: this example turns it on
 //! with [`EngineConfig::with_trace_capacity`]; production code can use
 //! `CEDR_TRACE=1` instead, and with it off the trace closures never run.
 //!

@@ -243,11 +243,14 @@ fn batched_ingestion_actually_amortises() {
     );
 }
 
-/// Parallel≡serial: the sharded multi-worker drain must be **bit-identical**
-/// to single-threaded execution — not merely logically equivalent — for the
+/// Parallel≡serial: the multi-worker drain must be **bit-identical** to
+/// single-threaded execution — not merely logically equivalent — for the
 /// five operator families, at every consistency level, under every worker
-/// count. Property-style: seeds × levels × thread counts, comparing the
-/// exact stamped output streams, output guarantees, and plan statistics.
+/// count (8 workers leave some with no query at all). Property-style:
+/// seeds × levels × thread counts, comparing the exact stamped output
+/// streams, output guarantees, and plan statistics — and, under a tiny
+/// ingress bound, the drain schedule and ingress counters too: workers
+/// split only the drain, never the bounded ingress.
 #[test]
 fn parallel_workers_match_serial_bit_for_bit_at_all_levels() {
     let levels: [(ConsistencySpec, &str); 4] = [
@@ -255,8 +258,8 @@ fn parallel_workers_match_serial_bit_for_bit_at_all_levels() {
         (ConsistencySpec::middle(), "middle"),
         (ConsistencySpec::weak(dur(100_000)), "weak"),
         // A horizon that bites: forgetting is arrival-order-sensitive, and
-        // sharding preserves per-query arrival order, so even lossy Weak
-        // must not diverge across thread counts.
+        // the worker split preserves per-query arrival order, so even
+        // lossy Weak must not diverge across thread counts.
         (ConsistencySpec::weak(dur(20)), "weak-biting"),
     ];
     for (spec, level) in levels {
@@ -264,7 +267,7 @@ fn parallel_workers_match_serial_bit_for_bit_at_all_levels() {
             let tape = workload(seed);
             let (serial, qs) =
                 run_batched_threads(spec, &tape, Engine::with_config(EngineConfig::threaded(1)));
-            for threads in [2, 4] {
+            for threads in [2, 4, 8] {
                 let (par, qp) = run_batched_threads(
                     spec,
                     &tape,
@@ -289,6 +292,26 @@ fn parallel_workers_match_serial_bit_for_bit_at_all_levels() {
                     );
                 }
             }
+            // Every per-type batch overflows an 8-message ingress, so each
+            // admission after the first forces a drain — at the same points
+            // whatever the worker count.
+            let tiny = |threads| {
+                Engine::with_config(EngineConfig::threaded(threads).with_ingress_capacity(8))
+            };
+            let (one, q1) = run_batched_threads(spec, &tape, tiny(1));
+            let (four, q4) = run_batched_threads(spec, &tape, tiny(4));
+            for (a, b) in q1.iter().zip(q4.iter()) {
+                assert_eq!(
+                    one.collector(*a).delta_log(),
+                    four.collector(*b).delta_log(),
+                    "{level}/seed {seed:#x}/tiny ingress: {} diverged",
+                    one.query_name(*a),
+                );
+                assert_eq!(one.stats(*a), four.stats(*b), "{level}/tiny ingress");
+            }
+            assert_eq!(one.rounds_completed(), four.rounds_completed());
+            assert_eq!(one.ingress_stats(), four.ingress_stats());
+            assert!(one.ingress_stats().backpressure_events > 0, "the bound bit");
         }
     }
 }
@@ -357,12 +380,21 @@ fn run_chunked(
     let per_type: Vec<Vec<MessageBatch>> = ["A_T", "B_T", "C_T"]
         .iter()
         .map(|ty| {
-            let batch: MessageBatch = tape
+            let msgs: Vec<Message> = tape
                 .iter()
                 .filter(|(t, _)| t == ty)
                 .map(|(_, m)| m.clone())
                 .collect();
-            batch.chunks(chunks)
+            // `chunks` contiguous, near-equal pieces, earlier ones larger.
+            let (base, rem) = (msgs.len() / chunks, msgs.len() % chunks);
+            let mut rest = msgs.as_slice();
+            (0..chunks.min(msgs.len()))
+                .map(|i| {
+                    let (head, tail) = rest.split_at(base + usize::from(i < rem));
+                    rest = tail;
+                    MessageBatch::from(head.to_vec())
+                })
+                .collect()
         })
         .collect();
     let rounds = per_type.iter().map(Vec::len).max().unwrap_or(0);

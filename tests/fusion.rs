@@ -109,9 +109,10 @@ fn run(
             .with_compile_kernels(compile),
     );
     let qs = register_queries(&mut engine, spec);
-    let batch: MessageBatch = tape.iter().cloned().collect();
-    for chunk in batch.chunks_of(9) {
-        engine.enqueue_batch("A_T", &chunk).unwrap();
+    for chunk in tape.chunks(9) {
+        engine
+            .enqueue_batch("A_T", &MessageBatch::from(chunk.to_vec()))
+            .unwrap();
         engine.run_to_quiescence();
     }
     engine.seal();
@@ -393,19 +394,20 @@ fn type_confused_union_runs_share_one_fused_chain() {
                     )
                     .into_plan();
                 let q = engine.register_plan("confused", plan, spec()).unwrap();
-                let (ba, bb): (MessageBatch, MessageBatch) = (
-                    a_tape.iter().cloned().collect(),
-                    b_tape.iter().cloned().collect(),
-                );
                 // Interleave chunks from both providers so delivery runs
                 // at the fused node mix the two layouts.
-                let (ca, cb) = (ba.chunks_of(9), bb.chunks_of(7));
+                let (ca, cb): (Vec<_>, Vec<_>) =
+                    (a_tape.chunks(9).collect(), b_tape.chunks(7).collect());
                 for i in 0..ca.len().max(cb.len()) {
                     if let Some(chunk) = ca.get(i) {
-                        engine.enqueue_batch("A_T", chunk).unwrap();
+                        engine
+                            .enqueue_batch("A_T", &MessageBatch::from(chunk.to_vec()))
+                            .unwrap();
                     }
                     if let Some(chunk) = cb.get(i) {
-                        engine.enqueue_batch("B_T", chunk).unwrap();
+                        engine
+                            .enqueue_batch("B_T", &MessageBatch::from(chunk.to_vec()))
+                            .unwrap();
                     }
                     engine.run_to_quiescence();
                 }
@@ -524,8 +526,10 @@ fn wide_payload_in_list_chains_match_across_modes() {
                 .slice_valid(t(5), t(660))
                 .into_plan();
             let q = engine.register_plan("wide", plan, spec()).unwrap();
-            for chunk in tape.chunks_of(64) {
-                engine.enqueue_batch("W_T", &chunk).unwrap();
+            for chunk in tape.as_slice().chunks(64) {
+                engine
+                    .enqueue_batch("W_T", &MessageBatch::from(chunk.to_vec()))
+                    .unwrap();
                 engine.run_to_quiescence();
             }
             engine.seal();

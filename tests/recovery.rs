@@ -368,6 +368,11 @@ fn corrupt_images_fail_typed_and_leave_the_engine_untouched() {
     let mut v1 = image.clone();
     v1[8..12].copy_from_slice(&1u32.to_le_bytes());
     expect_corrupt(&mut engine, &v1, "header", "image is v1");
+    // So is v2, whose engine section held one routing table and ingress
+    // counter set per worker plus a query → worker map.
+    let mut v2 = image.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    expect_corrupt(&mut engine, &v2, "header", "image is v2");
 
     // Any flipped body bit fails the content checksum.
     let mut bad = image.clone();

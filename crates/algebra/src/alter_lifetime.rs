@@ -34,7 +34,7 @@ impl VsFn {
     }
 
     /// `fVs` only ever reads the validity interval, so it can be evaluated
-    /// without an event in hand (the fused pipeline's interval-only form).
+    /// without an event in hand.
     pub fn eval_interval(&self, interval: Interval) -> TimePoint {
         match self {
             VsFn::Vs => interval.start,

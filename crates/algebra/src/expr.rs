@@ -149,61 +149,6 @@ impl Scalar {
         }
     }
 
-    /// Substitute this expression's payload reads through a projection:
-    /// the returned expression, evaluated on a payload `p`, equals `self`
-    /// evaluated on `[e.eval_payload(p) for e in exprs]`. `Field(j)` /
-    /// `Of(0, j)` become `exprs[j]` (or `Lit(Null)` beyond the projection
-    /// arity, matching the `get(j)` fallback); `Of(i, _)` with `i > 0` has
-    /// no contributor in the single-event context and is `Lit(Null)`.
-    /// This is what lets a fused chain's compiled kernels all read the
-    /// chain-original payload columns, no matter how many projections sit
-    /// upstream of them.
-    pub fn compose_after_project(&self, exprs: &[Scalar]) -> Scalar {
-        let bin = |a: &Scalar, b: &Scalar| {
-            (
-                Box::new(a.compose_after_project(exprs)),
-                Box::new(b.compose_after_project(exprs)),
-            )
-        };
-        match self {
-            Scalar::Field(j) | Scalar::Of(0, j) => {
-                exprs.get(*j).cloned().unwrap_or(Scalar::Lit(Value::Null))
-            }
-            Scalar::Of(..) => Scalar::Lit(Value::Null),
-            Scalar::Lit(v) => Scalar::Lit(v.clone()),
-            Scalar::Add(a, b) => {
-                let (a, b) = bin(a, b);
-                Scalar::Add(a, b)
-            }
-            Scalar::Sub(a, b) => {
-                let (a, b) = bin(a, b);
-                Scalar::Sub(a, b)
-            }
-            Scalar::Mul(a, b) => {
-                let (a, b) = bin(a, b);
-                Scalar::Mul(a, b)
-            }
-            Scalar::Div(a, b) => {
-                let (a, b) = bin(a, b);
-                Scalar::Div(a, b)
-            }
-        }
-    }
-
-    /// Collect the payload columns this expression reads through the
-    /// single-input views (`Field(j)` / `Of(0, j)`). Other contributor
-    /// slots evaluate to `Null` in payload context and read no column.
-    pub fn payload_fields(&self, out: &mut Vec<usize>) {
-        match self {
-            Scalar::Field(j) | Scalar::Of(0, j) => out.push(*j),
-            Scalar::Of(..) | Scalar::Lit(_) => {}
-            Scalar::Add(a, b) | Scalar::Sub(a, b) | Scalar::Mul(a, b) | Scalar::Div(a, b) => {
-                a.payload_fields(out);
-                b.payload_fields(out);
-            }
-        }
-    }
-
     pub(crate) fn arith(a: Value, b: Value, f: impl Fn(f64, f64) -> f64) -> Value {
         match (a.as_f64(), b.as_f64()) {
             (Some(x), Some(y)) => {
@@ -299,8 +244,7 @@ impl Pred {
 
     /// Evaluate against a bare payload (no temporal context). Predicates
     /// only ever read payload columns, so this agrees with
-    /// [`Pred::eval_event`] on any event carrying `payload` — the form the
-    /// fused pipeline uses to avoid materialising intermediate events.
+    /// [`Pred::eval_event`] on any event carrying `payload`.
     pub fn eval_payload(&self, payload: &Payload) -> bool {
         match self {
             Pred::True => true,
@@ -312,48 +256,6 @@ impl Pred {
             Pred::And(a, b) => a.eval_payload(payload) && b.eval_payload(payload),
             Pred::Or(a, b) => a.eval_payload(payload) || b.eval_payload(payload),
             Pred::Not(a) => !a.eval_payload(payload),
-        }
-    }
-
-    /// Substitute every payload read through a projection — the predicate
-    /// analogue of [`Scalar::compose_after_project`]: the result evaluated
-    /// on a payload `p` equals `self` evaluated on the projected payload
-    /// `[e.eval_payload(p) for e in exprs]`.
-    pub fn compose_after_project(&self, exprs: &[Scalar]) -> Pred {
-        match self {
-            Pred::True => Pred::True,
-            Pred::Cmp(a, op, b) => Pred::Cmp(
-                a.compose_after_project(exprs),
-                *op,
-                b.compose_after_project(exprs),
-            ),
-            Pred::And(a, b) => Pred::And(
-                Box::new(a.compose_after_project(exprs)),
-                Box::new(b.compose_after_project(exprs)),
-            ),
-            Pred::Or(a, b) => Pred::Or(
-                Box::new(a.compose_after_project(exprs)),
-                Box::new(b.compose_after_project(exprs)),
-            ),
-            Pred::Not(a) => Pred::Not(Box::new(a.compose_after_project(exprs))),
-        }
-    }
-
-    /// Collect the payload columns this predicate reads in single-input
-    /// payload context — the predicate analogue of
-    /// [`Scalar::payload_fields`].
-    pub fn payload_fields(&self, out: &mut Vec<usize>) {
-        match self {
-            Pred::True => {}
-            Pred::Cmp(a, _, b) => {
-                a.payload_fields(out);
-                b.payload_fields(out);
-            }
-            Pred::And(a, b) | Pred::Or(a, b) => {
-                a.payload_fields(out);
-                b.payload_fields(out);
-            }
-            Pred::Not(a) => a.payload_fields(out),
         }
     }
 

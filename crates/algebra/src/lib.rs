@@ -22,7 +22,6 @@ pub mod alter_lifetime;
 pub mod compliance;
 pub mod expr;
 pub mod idgen;
-pub mod kernel;
 pub mod pattern;
 pub mod relational;
 
@@ -31,7 +30,6 @@ pub use alter_lifetime::{
 };
 pub use expr::{CmpOp, Pred, Scalar, TuplePred};
 pub use idgen::{idgen, idgen2};
-pub use kernel::{PredKernel, ScalarKernel};
 pub use pattern::{
     all, any, atleast, atmost, cancel_when, not_sequence, sequence, unless, unless_prime,
 };

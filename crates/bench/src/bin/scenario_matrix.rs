@@ -92,9 +92,9 @@ fn render(report: &MatrixReport) -> String {
     let _ = writeln!(
         out,
         "Before any cell is measured, it is **pinned**: each scenario x level \
-         runs on four engine legs - 1 worker (canonical), 4 workers, fusion \
-         off, compiled kernels off - and the stamped output tape, subscription \
-         deltas and output CTI must be bit-identical across all legs. \
+         runs on two engine legs - 1 worker (canonical) and 4 workers - and \
+         the stamped output tape, subscription deltas and output CTI must be \
+         bit-identical across both legs. \
          {} per-query identity checks passed while generating this report. \
          Every number below is deterministic (application-time ticks, message \
          counts, F1 scores - never wall-clock), so CI regenerates this file \

@@ -16,9 +16,9 @@
 //! * one **`query:<i>:<name>` section per registered query** — the
 //!   dataflow image: every operator shell's consistency-monitor state
 //!   (watermarks, alignment buffers, reorder-guard registries, chain
-//!   generations), every operator module's state across all five
-//!   families (stateless/fused boundary state, group-aggregate tables,
-//!   join indexes, sequence slots, negation state), and the sink
+//!   generations), every operator module's state across the stateful
+//!   families (group-aggregate tables, join indexes, sequence slots,
+//!   negation state; stateless modules hold none), and the sink
 //!   collector's output delta log — each output event once; the
 //!   collector's statistics, output guarantee and CEDR clock are
 //!   re-derived from the log on restore.
@@ -131,7 +131,7 @@ impl Engine {
     /// Hash of everything that must match between the checkpointing and
     /// the restoring engine: the execution configuration, the registered
     /// event types (name + arity) and the registered queries (name,
-    /// consistency spec, optimized/physical plan rendering) in
+    /// consistency spec, optimized plan rendering) in
     /// registration order. Two engines built by the same registration
     /// sequence under the same config agree; anything else does not.
     fn config_hash(&self) -> u64 {
@@ -140,8 +140,6 @@ impl Engine {
         self.config.ingress_capacity.encode(&mut buf);
         self.config.channel_depth.encode(&mut buf);
         self.config.resequencer_capacity.encode(&mut buf);
-        self.config.fuse.encode(&mut buf);
-        self.config.compile_kernels.encode(&mut buf);
         let mut types: Vec<&str> = self.catalog.type_names();
         types.sort_unstable();
         (types.len() as u64).encode(&mut buf);

@@ -68,7 +68,7 @@
 //!
 //! [`Engine::checkpoint`] serializes the **complete engine image** at a
 //! quiescent round boundary — per-operator state across every operator
-//! family (stateless boundary/alignment state, group-aggregate tables,
+//! family (shell alignment and reorder-guard state, group-aggregate tables,
 //! join indexes, sequence/negation state), the channel pump's
 //! resequencer (buffered emissions and per-producer cursors), each
 //! query's output delta log (the collector is rebuilt from it), the
@@ -84,8 +84,8 @@
 //! is *invisible at the tape level*: replaying the remaining emissions
 //! into the restored engine produces stamped tapes, subscription deltas
 //! and output CTIs **bit-identical** to the run that never failed, at
-//! every consistency level, thread count and fusion/compilation mode
-//! (`tests/recovery.rs` pins this). A corrupt, truncated or
+//! every consistency level and thread count (`tests/recovery.rs` pins
+//! this). A corrupt, truncated or
 //! version-mismatched image fails with a typed
 //! [`EngineError::CheckpointCorrupt`] naming the offending section and
 //! leaves the engine untouched; [`Engine::seal`] after a restore behaves
@@ -112,12 +112,11 @@
 //!
 //! Metrics fall into three classes (see [`cedr_obs::snapshot`]):
 //! **semantic counters** ([`MetricsSnapshot::semantic`](cedr_obs::MetricsSnapshot::semantic))
-//! are bit-identical across `CEDR_THREADS`, `CEDR_FUSE` and
-//! `CEDR_COMPILE` modes for the same logical workload
-//! (`tests/metrics_determinism.rs` pins this); **execution counters**
-//! are exact for a fixed configuration but mode-dependent (a fused graph
-//! has fewer nodes); and
-//! **timing histograms** read wall-clock through the
+//! are bit-identical across `CEDR_THREADS` worker counts for the same
+//! logical workload (`tests/metrics_determinism.rs` pins this);
+//! **execution counters** (per-node operator stats, ingress and channel
+//! backpressure) are exact for a fixed configuration but move with
+//! capacities and producer timing; and **timing histograms** read wall-clock through the
 //! [`ObsClock`](cedr_obs::ObsClock) seam — swap in a
 //! [`ManualClock`](cedr_obs::ManualClock) via [`Engine::set_obs_clock`]
 //! for deterministic tests. None of this state is ever serialized into
@@ -135,10 +134,7 @@
 use crate::ingest::{ChannelIngress, ChannelSource, IngressStats};
 use crate::session::{SourceHandle, Subscription};
 use cedr_lang::catalog::{Catalog, EventTypeDef, FieldType};
-use cedr_lang::{
-    compile_from_env, compile_with, fuse_from_env, lower_with, optimize, LangError, LogicalOp,
-    LoweredPlan,
-};
+use cedr_lang::{compile, lower, optimize, LangError, LogicalOp, LoweredPlan};
 use cedr_obs::{CheckpointCounters, ObsHub, TraceEvent};
 use cedr_runtime::{ConsistencySpec, OpStats};
 use cedr_streams::{Collector, Message, MessageBatch};
@@ -363,22 +359,10 @@ pub struct EngineConfig {
     /// on; providers keep blocking on the (also bounded) channel in the
     /// meantime, so memory stays bounded end to end.
     pub resequencer_capacity: usize,
-    /// Run the plan-time **fusion pass** when registering queries: maximal
-    /// chains of adjacent stateless operators collapse into single
-    /// `FusedStatelessOp` nodes (collector output is bit-identical either
-    /// way; see `cedr_runtime::fused`). Defaults to the `CEDR_FUSE`
-    /// environment switch — set `CEDR_FUSE=0` to run every engine unfused,
-    /// however its config was built — and can be overridden per engine
-    /// with [`EngineConfig::with_fuse`].
+    /// Ignored; kept so `benchmark/` builds. Every stateless operator
+    /// lowers to its own shell whatever this says.
     pub fuse: bool,
-    /// Compile fused chains into **column kernels** at registration:
-    /// select/project payload trees become closures sweeping whole payload
-    /// columns per delivery run instead of interpreting the stage IR per
-    /// message (collector output is bit-identical either way; see
-    /// `cedr_runtime::fused`). Irrelevant when `fuse` is off. Defaults to
-    /// the `CEDR_COMPILE` environment switch — set `CEDR_COMPILE=0` to
-    /// interpret everywhere — and can be overridden per engine with
-    /// [`EngineConfig::with_compile_kernels`].
+    /// Ignored; kept so `benchmark/` builds.
     pub compile_kernels: bool,
     /// Capacity of the structured trace ring (events), `0` = tracing off
     /// (every trace hook is a single branch and no ring is allocated).
@@ -406,16 +390,16 @@ fn trace_capacity_from_env() -> usize {
 }
 
 impl EngineConfig {
-    /// Single-threaded execution (serial drain). Fusion
-    /// follows the `CEDR_FUSE` environment switch, like every constructor.
+    /// Single-threaded execution (serial drain). Tracing follows the
+    /// `CEDR_TRACE` environment switch, like every constructor.
     pub fn serial() -> Self {
         EngineConfig {
             threads: 1,
             ingress_capacity: DEFAULT_INGRESS_CAPACITY,
             channel_depth: DEFAULT_CHANNEL_DEPTH,
             resequencer_capacity: DEFAULT_RESEQUENCER_CAPACITY,
-            fuse: fuse_from_env(),
-            compile_kernels: compile_from_env(),
+            fuse: false,
+            compile_kernels: false,
             trace_capacity: trace_capacity_from_env(),
         }
     }
@@ -464,31 +448,19 @@ impl EngineConfig {
         }
     }
 
-    /// Same configuration with the fusion pass explicitly on or off
-    /// (overrides the `CEDR_FUSE` environment default).
+    /// Sets the ignored [`EngineConfig::fuse`]; kept so `benchmark/`
+    /// builds.
     pub fn with_fuse(self, fuse: bool) -> Self {
         EngineConfig { fuse, ..self }
     }
 
-    /// Same configuration with the fused-chain kernel compile explicitly
-    /// on or off (overrides the `CEDR_COMPILE` environment default).
-    pub fn with_compile_kernels(self, compile_kernels: bool) -> Self {
-        EngineConfig {
-            compile_kernels,
-            ..self
-        }
-    }
-
     /// Read `CEDR_THREADS`, `CEDR_INGRESS_CAPACITY`, `CEDR_CHANNEL_DEPTH`,
-    /// `CEDR_RESEQ_CAPACITY`, `CEDR_FUSE`, `CEDR_COMPILE` and `CEDR_TRACE`
-    /// from the environment (defaults: 1 thread,
-    /// [`DEFAULT_INGRESS_CAPACITY`], [`DEFAULT_CHANNEL_DEPTH`],
-    /// [`DEFAULT_RESEQUENCER_CAPACITY`], fusion on, kernel compile on,
-    /// tracing off). `CEDR_THREADS`, `CEDR_FUSE=0` and `CEDR_COMPILE=0`
-    /// are the knobs the CI matrix turns to run the whole test suite
-    /// serial/threaded, fused/unfused and compiled/interpreted — outputs
-    /// (and every semantic counter, see [`Engine::metrics`]) are
-    /// bit-identical every way.
+    /// `CEDR_RESEQ_CAPACITY` and `CEDR_TRACE` from the environment
+    /// (defaults: 1 thread, [`DEFAULT_INGRESS_CAPACITY`],
+    /// [`DEFAULT_CHANNEL_DEPTH`], [`DEFAULT_RESEQUENCER_CAPACITY`], tracing
+    /// off). `CEDR_THREADS` is the knob the CI matrix turns to run the
+    /// whole test suite serial and threaded — outputs (and every semantic
+    /// counter, see [`Engine::metrics`]) are bit-identical both ways.
     pub fn from_env() -> Self {
         let parse = |var: &str| {
             std::env::var(var)
@@ -502,8 +474,8 @@ impl EngineConfig {
             channel_depth: parse("CEDR_CHANNEL_DEPTH").unwrap_or(DEFAULT_CHANNEL_DEPTH),
             resequencer_capacity: parse("CEDR_RESEQ_CAPACITY")
                 .unwrap_or(DEFAULT_RESEQUENCER_CAPACITY),
-            fuse: fuse_from_env(),
-            compile_kernels: compile_from_env(),
+            fuse: false,
+            compile_kernels: false,
             trace_capacity: trace_capacity_from_env(),
         }
     }
@@ -681,13 +653,7 @@ impl Engine {
         text: &str,
         spec: ConsistencySpec,
     ) -> Result<QueryId, EngineError> {
-        let compiled = compile_with(
-            text,
-            &self.catalog,
-            spec,
-            self.config.fuse,
-            self.config.compile_kernels,
-        )?;
+        let compiled = compile(text, &self.catalog, spec)?;
         self.queries.push(RunningQuery {
             name: compiled.name,
             plan: compiled.plan,
@@ -711,14 +677,8 @@ impl Engine {
         spec: ConsistencySpec,
     ) -> Result<QueryId, EngineError> {
         let optimized = optimize(root);
-        let plan = lower_with(
-            &optimized,
-            &self.catalog,
-            spec,
-            self.config.fuse,
-            self.config.compile_kernels,
-        )?;
-        let explain = format!("{optimized}\n{}", plan.describe_fusion());
+        let plan = lower(&optimized, &self.catalog, spec)?;
+        let explain = optimized.to_string();
         self.queries.push(RunningQuery {
             name: name.to_string(),
             plan,

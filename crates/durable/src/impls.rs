@@ -276,7 +276,7 @@ impl<T: Persist> Persist for ResequencerParts<T> {
     }
 }
 
-/// 17 little-endian `u64`s in declaration order.
+/// 15 little-endian `u64`s in declaration order.
 impl Persist for OpStats {
     fn encode(&self, out: &mut Vec<u8>) {
         self.arrivals.encode(out);
@@ -291,8 +291,6 @@ impl Persist for OpStats {
         self.batch_peak.encode(out);
         self.group_refreshes.encode(out);
         self.probe_batches.encode(out);
-        self.fused_stages.encode(out);
-        self.compiled_kernel_runs.encode(out);
         self.out_inserts.encode(out);
         self.out_retractions.encode(out);
         self.out_ctis.encode(out);
@@ -311,8 +309,6 @@ impl Persist for OpStats {
             batch_peak: u64::decode(r)?,
             group_refreshes: u64::decode(r)?,
             probe_batches: u64::decode(r)?,
-            fused_stages: u64::decode(r)?,
-            compiled_kernel_runs: u64::decode(r)?,
             out_inserts: u64::decode(r)?,
             out_retractions: u64::decode(r)?,
             out_ctis: u64::decode(r)?,
@@ -430,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn op_stats_wire_layout_is_17_le_u64s_in_field_order() {
+    fn op_stats_wire_layout_is_15_le_u64s_in_field_order() {
         // Checkpoint images embed this layout; a reorder, a resize or a
         // new field must bump `FORMAT_VERSION` instead of landing silently.
         let s = OpStats {
@@ -446,13 +442,11 @@ mod tests {
             batch_peak: 10,
             group_refreshes: 11,
             probe_batches: 12,
-            fused_stages: 13,
-            compiled_kernel_runs: 14,
-            out_inserts: 15,
-            out_retractions: 16,
-            out_ctis: 17,
+            out_inserts: 13,
+            out_retractions: 14,
+            out_ctis: 15,
         };
-        let expected: Vec<u8> = (1..=17u64).flat_map(u64::to_le_bytes).collect();
+        let expected: Vec<u8> = (1..=15u64).flat_map(u64::to_le_bytes).collect();
         assert_eq!(to_bytes(&s), expected);
         round_trip(s);
     }

@@ -30,45 +30,29 @@ pub use error::LangError;
 pub use logical::{Layout, LogicalOp};
 pub use optimizer::optimize;
 pub use parser::parse_query;
-pub use physical::{compile_from_env, fuse_from_env, lower, lower_with, LoweredPlan};
+pub use physical::{lower, lower_with, LoweredPlan};
 
 /// A fully compiled query: the declared name, the optimized logical plan
-/// rendered for `EXPLAIN` (followed by the physical fusion summary), and
-/// the lowered physical dataflow.
+/// rendered for `EXPLAIN`, and the lowered physical dataflow.
 pub struct CompiledQuery {
     pub name: String,
     pub explain: String,
     pub plan: LoweredPlan,
 }
 
-/// Parse, bind, optimise and lower a query in one call. The fusion pass
-/// follows the `CEDR_FUSE` default and the kernel compile follows
-/// `CEDR_COMPILE`; use [`compile_with`] for explicit control.
+/// Parse, bind, optimise and lower a query in one call.
 pub fn compile(
     text: &str,
     catalog: &Catalog,
     spec: cedr_runtime::ConsistencySpec,
 ) -> Result<CompiledQuery, LangError> {
-    compile_with(text, catalog, spec, fuse_from_env(), compile_from_env())
-}
-
-/// [`compile`], with the fusion pass and the kernel compile explicitly on
-/// or off.
-pub fn compile_with(
-    text: &str,
-    catalog: &Catalog,
-    spec: cedr_runtime::ConsistencySpec,
-    fuse: bool,
-    compile_kernels: bool,
-) -> Result<CompiledQuery, LangError> {
     let query = parse_query(text)?;
     let bound = bind(&query, catalog)?;
     let optimized = optimize(bound.root);
-    let plan = lower_with(&optimized, catalog, spec, fuse, compile_kernels)?;
-    let explain = format!("{optimized}\n{}", plan.describe_fusion());
+    let plan = lower(&optimized, catalog, spec)?;
     Ok(CompiledQuery {
         name: bound.name,
-        explain,
+        explain: optimized.to_string(),
         plan,
     })
 }

@@ -1,23 +1,14 @@
 //! Physical planning: lower a logical plan onto a `cedr-runtime` dataflow.
 //!
-//! Lowering includes the **fusion pass**: every maximal chain of adjacent
-//! single-input stateless operators (select, project, alter-lifetime,
-//! slice) collapses into one [`FusedStatelessOp`] node that evaluates the
-//! composed stage IR in a single pass per delivery run — see
-//! `cedr_runtime::fused`. Chains of length one lower to their plain
-//! operator; chains broken by a stateful operator fuse on each side of the
-//! break (partial fusion). The pass is on by default and can be disabled
-//! per plan ([`lower_with`]) or globally (`CEDR_FUSE=0`, read by
-//! [`fuse_from_env`]); fused and unfused plans are collector-level
-//! bit-identical.
-//!
-//! Fused chains additionally get a **kernel compile at register time**:
-//! select and project payload trees are lifted into closures that sweep
-//! whole payload-column slices per delivery run (see
-//! `cedr_runtime::fused`'s compiled-kernel docs). Compilation is also on
-//! by default, with its own escape hatch (`CEDR_COMPILE=0`, read by
-//! [`compile_from_env`]; per plan via [`lower_with`]), and compiled,
-//! interpreted and unfused plans are all collector-level bit-identical.
+//! Lowering is one-to-one: every logical operator becomes its own
+//! `OperatorShell` node around the matching operational module, so every
+//! operator runs its own consistency monitor (Figure 7). A stateless
+//! chain (select, project, alter-lifetime, slice) is a chain of plain
+//! shells; the only operators the lowering itself adds are the
+//! union/window/count/select expansion of `ATMOST` and a pass-through
+//! select when the plan's root is a bare source. Merging adjacent selects
+//! and projects would be a logical rewrite, the optimizer's business, not
+//! a second physical operator.
 
 use crate::catalog::Catalog;
 use crate::error::LangError;
@@ -25,33 +16,12 @@ use crate::logical::LogicalOp;
 use cedr_algebra::expr::{CmpOp, Pred, Scalar};
 use cedr_algebra::relational::AggFunc;
 use cedr_runtime::aggregate::GroupAggregateOp;
-use cedr_runtime::fused::{FusedStage, FusedStatelessOp};
 use cedr_runtime::join::JoinOp;
 use cedr_runtime::negation::NegationOp;
 use cedr_runtime::sequence::{AtLeastOp, SequenceOp};
 use cedr_runtime::stateless::{AlterLifetimeOp, ProjectOp, SelectOp, SliceOp, UnionOp};
 use cedr_runtime::{ConsistencySpec, Dataflow, DataflowBuilder, NodeId, Port};
 use cedr_temporal::Interval;
-
-/// Global fusion kill-switch: `CEDR_FUSE=0` disables the fusion pass for
-/// plans lowered through the env-defaulted entry points ([`lower`],
-/// `Engine` configs built by `EngineConfig::from_env`). Any other value —
-/// or the variable being unset — leaves fusion on.
-pub fn fuse_from_env() -> bool {
-    std::env::var("CEDR_FUSE")
-        .map(|v| v.trim() != "0")
-        .unwrap_or(true)
-}
-
-/// Compiled-kernel kill-switch: `CEDR_COMPILE=0` makes fused chains run
-/// the PR 6 interpreted stage IR instead of compiled column kernels. Any
-/// other value — or the variable being unset — leaves compilation on.
-/// Irrelevant when fusion itself is off (unfused plans always interpret).
-pub fn compile_from_env() -> bool {
-    std::env::var("CEDR_COMPILE")
-        .map(|v| v.trim() != "0")
-        .unwrap_or(true)
-}
 
 /// A lowered, executable query plan.
 pub struct LoweredPlan {
@@ -60,12 +30,6 @@ pub struct LoweredPlan {
     pub sink: NodeId,
     /// Source index → event type name.
     pub source_types: Vec<String>,
-    /// One description per chain the fusion pass collapsed, in lowering
-    /// order, with its execution mode:
-    /// `fused[3] compiled: select→project→slice` (column kernels) vs
-    /// `fused[3] interpreted: …` (the `CEDR_COMPILE=0` escape hatch).
-    /// Empty when the pass was off or found no chain of length ≥ 2.
-    pub fused_chains: Vec<String>,
 }
 
 impl LoweredPlan {
@@ -73,48 +37,18 @@ impl LoweredPlan {
     pub fn source_index(&self, event_type: &str) -> Option<usize> {
         self.source_types.iter().position(|t| t == event_type)
     }
-
-    /// Render the fusion pass's outcome for plan explains: one line per
-    /// collapsed chain, or `physical: unfused` when nothing fused.
-    pub fn describe_fusion(&self) -> String {
-        if self.fused_chains.is_empty() {
-            "physical: unfused".to_string()
-        } else {
-            self.fused_chains
-                .iter()
-                .map(|c| format!("physical: {c}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        }
-    }
 }
 
 /// Lower a logical plan. All operators run at the given consistency spec
-/// (per-query consistency, as Section 1 proposes). The fusion pass runs
-/// unless `CEDR_FUSE=0` and fused chains compile kernels unless
-/// `CEDR_COMPILE=0`; use [`lower_with`] for explicit control.
+/// (per-query consistency, as Section 1 proposes).
 pub fn lower(
-    root: &LogicalOp,
-    catalog: &Catalog,
-    spec: ConsistencySpec,
-) -> Result<LoweredPlan, LangError> {
-    lower_with(root, catalog, spec, fuse_from_env(), compile_from_env())
-}
-
-/// [`lower`], with the fusion pass and the kernel compile explicitly on
-/// or off.
-pub fn lower_with(
     root: &LogicalOp,
     _catalog: &Catalog,
     spec: ConsistencySpec,
-    fuse: bool,
-    compile: bool,
 ) -> Result<LoweredPlan, LangError> {
     let source_types = root.sources();
     let mut b = DataflowBuilder::new(source_types.len());
-    let mut fused_chains = Vec::new();
-    let fusion = FusionPass { fuse, compile };
-    let port = build(root, &source_types, &mut b, spec, fusion, &mut fused_chains)?;
+    let port = build(root, &source_types, &mut b, spec)?;
     // The sink must be a node so it can be watched; wrap bare sources.
     let sink = match port {
         Port::Node(n) => n,
@@ -125,52 +59,19 @@ pub fn lower_with(
         dataflow,
         sink,
         source_types,
-        fused_chains,
     })
 }
 
-/// If `op` is a fusable single-input stateless operator, return its
-/// [`FusedStage`] IR and its input. The four families here must stay in
-/// lock-step with the plain lowering arms below — the fusion bit-identity
-/// suite (`tests/fusion.rs`) pins that correspondence.
-fn stateless_stage(op: &LogicalOp) -> Option<(FusedStage, &LogicalOp)> {
-    match op {
-        LogicalOp::Select { input, pred } => Some((FusedStage::Select(pred.clone()), input)),
-        LogicalOp::Project { input, exprs, .. } => {
-            Some((FusedStage::Project(exprs.clone()), input))
-        }
-        LogicalOp::AlterLifetime { input, fvs, fdelta } => Some((
-            FusedStage::AlterLifetime {
-                fvs: *fvs,
-                fdelta: *fdelta,
-            },
-            input,
-        )),
-        LogicalOp::SliceOcc { input, from, to } => Some((
-            FusedStage::Slice {
-                valid: None,
-                occurrence: Some(Interval::new(*from, *to)),
-            },
-            input,
-        )),
-        LogicalOp::SliceValid { input, from, to } => Some((
-            FusedStage::Slice {
-                valid: Some(Interval::new(*from, *to)),
-                occurrence: None,
-            },
-            input,
-        )),
-        _ => None,
-    }
-}
-
-/// Knobs of the fusion pass, threaded through [`build`]: whether to fuse
-/// stateless chains at all, and whether fused chains compile column
-/// kernels or interpret the stage IR.
-#[derive(Clone, Copy)]
-struct FusionPass {
-    fuse: bool,
-    compile: bool,
+/// [`lower`]. Both flags are ignored — there is one stateless path — and
+/// kept only so existing callers of this signature still build.
+pub fn lower_with(
+    root: &LogicalOp,
+    catalog: &Catalog,
+    spec: ConsistencySpec,
+    _fuse: bool,
+    _compile: bool,
+) -> Result<LoweredPlan, LangError> {
+    lower(root, catalog, spec)
 }
 
 fn build(
@@ -178,40 +79,7 @@ fn build(
     sources: &[String],
     b: &mut DataflowBuilder,
     spec: ConsistencySpec,
-    fusion: FusionPass,
-    fused_chains: &mut Vec<String>,
 ) -> Result<Port, LangError> {
-    // Fusion pass: collapse a maximal stateless chain rooted at `op` into
-    // one node. Chains of length one fall through to plain lowering.
-    if fusion.fuse {
-        if let Some((stage, mut cur)) = stateless_stage(op) {
-            let mut stages = vec![stage];
-            while let Some((s, next)) = stateless_stage(cur) {
-                stages.push(s);
-                cur = next;
-            }
-            if stages.len() >= 2 {
-                stages.reverse(); // innermost (source side) first
-                let input = build(cur, sources, b, spec, fusion, fused_chains)?;
-                let desc = stages
-                    .iter()
-                    .map(FusedStage::name)
-                    .collect::<Vec<_>>()
-                    .join("→");
-                let mode = if fusion.compile {
-                    "compiled"
-                } else {
-                    "interpreted"
-                };
-                fused_chains.push(format!("fused[{}] {}: {}", stages.len(), mode, desc));
-                return Ok(Port::Node(b.add_node(
-                    Box::new(FusedStatelessOp::new(stages, spec, fusion.compile)),
-                    spec,
-                    vec![input],
-                )));
-            }
-        }
-    }
     Ok(match op {
         LogicalOp::Source { event_type } => {
             let idx = sources
@@ -221,19 +89,19 @@ fn build(
             Port::Source(idx)
         }
         LogicalOp::Select { input, pred } => {
-            let p = build(input, sources, b, spec, fusion, fused_chains)?;
+            let p = build(input, sources, b, spec)?;
             Port::Node(b.add_node(Box::new(SelectOp::new(pred.clone())), spec, vec![p]))
         }
         LogicalOp::Project { input, exprs, .. } => {
-            let p = build(input, sources, b, spec, fusion, fused_chains)?;
+            let p = build(input, sources, b, spec)?;
             Port::Node(b.add_node(Box::new(ProjectOp::new(exprs.clone())), spec, vec![p]))
         }
         LogicalOp::AlterLifetime { input, fvs, fdelta } => {
-            let p = build(input, sources, b, spec, fusion, fused_chains)?;
+            let p = build(input, sources, b, spec)?;
             Port::Node(b.add_node(Box::new(AlterLifetimeOp::new(*fvs, *fdelta)), spec, vec![p]))
         }
         LogicalOp::GroupAggregate { input, key, agg } => {
-            let p = build(input, sources, b, spec, fusion, fused_chains)?;
+            let p = build(input, sources, b, spec)?;
             Port::Node(b.add_node(
                 Box::new(GroupAggregateOp::new(key.clone(), agg.clone())),
                 spec,
@@ -246,8 +114,8 @@ fn build(
             theta,
             equi_keys,
         } => {
-            let l = build(left, sources, b, spec, fusion, fused_chains)?;
-            let r = build(right, sources, b, spec, fusion, fused_chains)?;
+            let l = build(left, sources, b, spec)?;
+            let r = build(right, sources, b, spec)?;
             let mut join = JoinOp::new(theta.clone());
             if let Some((kl, kr)) = equi_keys {
                 join = join.with_keys(kl.clone(), kr.clone());
@@ -255,8 +123,8 @@ fn build(
             Port::Node(b.add_node(Box::new(join), spec, vec![l, r]))
         }
         LogicalOp::Union { left, right } => {
-            let l = build(left, sources, b, spec, fusion, fused_chains)?;
-            let r = build(right, sources, b, spec, fusion, fused_chains)?;
+            let l = build(left, sources, b, spec)?;
+            let r = build(right, sources, b, spec)?;
             Port::Node(b.add_node(Box::new(UnionOp), spec, vec![l, r]))
         }
         LogicalOp::Sequence {
@@ -267,7 +135,7 @@ fn build(
         } => {
             let ports = inputs
                 .iter()
-                .map(|i| build(i, sources, b, spec, fusion, &mut *fused_chains))
+                .map(|i| build(i, sources, b, spec))
                 .collect::<Result<Vec<_>, _>>()?;
             Port::Node(b.add_node(
                 Box::new(SequenceOp::with_modes(
@@ -289,7 +157,7 @@ fn build(
         } => {
             let ports = inputs
                 .iter()
-                .map(|i| build(i, sources, b, spec, fusion, &mut *fused_chains))
+                .map(|i| build(i, sources, b, spec))
                 .collect::<Result<Vec<_>, _>>()?;
             Port::Node(b.add_node(
                 Box::new(AtLeastOp::with_modes(
@@ -308,7 +176,7 @@ fn build(
             // occurrence to a lifetime of w, count, keep count ≤ n.
             let mut ports = inputs
                 .iter()
-                .map(|i| build(i, sources, b, spec, fusion, &mut *fused_chains))
+                .map(|i| build(i, sources, b, spec))
                 .collect::<Result<Vec<_>, _>>()?;
             let mut acc = ports.remove(0);
             for p in ports {
@@ -339,8 +207,8 @@ fn build(
             Port::Node(filtered)
         }
         LogicalOp::Unless { main, neg, w, pred } => {
-            let m = build(main, sources, b, spec, fusion, fused_chains)?;
-            let n = build(neg, sources, b, spec, fusion, fused_chains)?;
+            let m = build(main, sources, b, spec)?;
+            let n = build(neg, sources, b, spec)?;
             Port::Node(b.add_node(
                 Box::new(NegationOp::unless(*w, pred.clone())),
                 spec,
@@ -354,8 +222,8 @@ fn build(
                 LogicalOp::Sequence { w, .. } => Some(*w),
                 _ => None,
             };
-            let m = build(main, sources, b, spec, fusion, fused_chains)?;
-            let n = build(neg, sources, b, spec, fusion, fused_chains)?;
+            let m = build(main, sources, b, spec)?;
+            let n = build(neg, sources, b, spec)?;
             let mut op = NegationOp::history(pred.clone());
             if let Some(w) = seq_w {
                 op = op.with_max_history(w);
@@ -363,8 +231,8 @@ fn build(
             Port::Node(b.add_node(Box::new(op), spec, vec![m, n]))
         }
         LogicalOp::CancelWhen { main, neg, pred } => {
-            let m = build(main, sources, b, spec, fusion, fused_chains)?;
-            let n = build(neg, sources, b, spec, fusion, fused_chains)?;
+            let m = build(main, sources, b, spec)?;
+            let n = build(neg, sources, b, spec)?;
             Port::Node(b.add_node(
                 Box::new(NegationOp::history(pred.clone())),
                 spec,
@@ -372,7 +240,7 @@ fn build(
             ))
         }
         LogicalOp::SliceOcc { input, from, to } => {
-            let p = build(input, sources, b, spec, fusion, fused_chains)?;
+            let p = build(input, sources, b, spec)?;
             Port::Node(b.add_node(
                 Box::new(SliceOp::new(None, Some(Interval::new(*from, *to)))),
                 spec,
@@ -380,7 +248,7 @@ fn build(
             ))
         }
         LogicalOp::SliceValid { input, from, to } => {
-            let p = build(input, sources, b, spec, fusion, fused_chains)?;
+            let p = build(input, sources, b, spec)?;
             Port::Node(b.add_node(
                 Box::new(SliceOp::new(Some(Interval::new(*from, *to)), None)),
                 spec,

@@ -30,8 +30,6 @@ const NODE_COLUMNS: &[NodeColumn] = &[
     ("batch_peak", false, |s| s.batch_peak),
     ("group_refreshes", true, |s| s.group_refreshes),
     ("probe_batches", true, |s| s.probe_batches),
-    ("fused_stages", false, |s| s.fused_stages),
-    ("compiled_kernel_runs", true, |s| s.compiled_kernel_runs),
     ("out_inserts", true, |s| s.out_inserts),
     ("out_retractions", true, |s| s.out_retractions),
     ("out_ctis", true, |s| s.out_ctis),
@@ -455,14 +453,12 @@ impl MetricsSnapshot {
             );
             let _ = writeln!(
                 out,
-                "      ops: arrivals {}  released {}  blocked {}msg/{}t  state peak {}  fused stages {}  kernel runs {}",
+                "      ops: arrivals {}  released {}  blocked {}msg/{}t  state peak {}",
                 q.total.arrivals,
                 q.total.released,
                 q.total.blocked_messages,
                 q.total.blocked_ticks,
-                q.total.state_peak,
-                q.total.fused_stages,
-                q.total.compiled_kernel_runs
+                q.total.state_peak
             );
             for s in &q.subscriptions {
                 let _ = writeln!(

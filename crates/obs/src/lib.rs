@@ -21,7 +21,7 @@
 //!   `Engine::metrics()`, split into **counter-class** fields (exact,
 //!   replayable) and **timing-class** fields (wall-clock, behind the
 //!   seam). [`CounterSnapshot::semantic`] further projects the subset
-//!   that is bit-identical across worker counts and fuse/compile modes.
+//!   that is bit-identical across worker counts.
 //! - [`expo`] — text exposition: Prometheus text format 0.0.4
 //!   ([`MetricsSnapshot::render_prometheus`]), a human dashboard
 //!   ([`MetricsSnapshot::render_report`]), and a format validator used by

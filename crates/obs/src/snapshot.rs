@@ -12,18 +12,17 @@
 //! Fields fall into three classes, and the split is load-bearing for the
 //! engine's bit-identity contract:
 //!
-//! 1. **Semantic counters** ([`CounterSnapshot::semantic`]) — equal
-//!    across worker counts *and* fuse/compile modes: collector output
-//!    counts, delta-log lengths, output CTIs, rounds completed, pump
-//!    admission totals, checkpoint/restore counts.
+//! 1. **Semantic counters** ([`CounterSnapshot::semantic`]) — what the
+//!    logical workload alone decides: collector output counts, delta-log
+//!    lengths, output CTIs, rounds completed, pump admission totals,
+//!    checkpoint/restore counts.
 //! 2. **Execution counters** (the rest of [`CounterSnapshot`]) — exact
 //!    and replayable for a *fixed* configuration, but configuration-
-//!    dependent: per-node operator stats vary with fuse/compile (a fused
-//!    graph has fewer nodes), ingress backpressure varies with the
-//!    ingress capacity, and channel backpressure depends on
-//!    producer/consumer timing. None of them varies with the worker
-//!    count: the engine has one ingress queue, and workers only split
-//!    its drain.
+//!    dependent: ingress backpressure varies with the ingress capacity,
+//!    channel backpressure depends on producer/consumer timing, and the
+//!    thread gauge reports the worker count. Nothing else varies with the
+//!    worker count — per-node operator stats included: the engine has one
+//!    ingress queue, and workers only split its drain.
 //! 3. **Timing metrics** ([`MetricsSnapshot::timings`]) — wall-clock
 //!    histograms behind the [`crate::ObsClock`] seam; never compared for
 //!    equality.
@@ -181,8 +180,8 @@ pub struct SemanticChannel {
 }
 
 /// The subset of [`CounterSnapshot`] that is **bit-identical across
-/// `CEDR_THREADS`, `CEDR_FUSE` and `CEDR_COMPILE` modes** for the same
-/// logical workload. Pinned by `tests/metrics_determinism.rs`.
+/// `CEDR_THREADS` worker counts** for the same logical workload. Pinned
+/// by `tests/metrics_determinism.rs`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SemanticCounters {
     pub rounds_completed: u64,
@@ -282,7 +281,7 @@ mod tests {
         a.counters.threads = 1;
         a.counters.ingress_total.backpressure_events = 5;
         b.counters.threads = 4;
-        b.counters.queries[0].total.fused_stages = 3;
+        b.counters.queries[0].total.batches = 3;
         assert_eq!(a.semantic(), b.semantic());
     }
 

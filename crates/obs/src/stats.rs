@@ -47,19 +47,6 @@ pub struct OpStats {
     /// frozen candidate-index snapshot: one lookup per distinct key per
     /// run instead of one per message).
     pub probe_batches: u64,
-    /// Stateless stages collapsed into this operator by the plan-time
-    /// fusion pass (0 for an ordinary, unfused operator; ≥ 2 for a
-    /// `FusedStatelessOp`). Summed by [`OpStats::absorb`], so a positive
-    /// plan total proves fusion actually engaged rather than silently
-    /// falling back to the unfused graph.
-    pub fused_stages: u64,
-    /// Compiled-kernel sweeps run by a fused node: one per select stage
-    /// per delivery run whose selection bitmap was computed over payload
-    /// columns (plus the sweeps of the projection gather, counted at the
-    /// run that swept them). Summed by [`OpStats::absorb`] like
-    /// `fused_stages`, so a positive plan total proves the compiled fast
-    /// path is live rather than silently interpreting.
-    pub compiled_kernel_runs: u64,
     /// Output inserts emitted.
     pub out_inserts: u64,
     /// Output retractions emitted.
@@ -107,8 +94,6 @@ impl OpStats {
         self.batch_peak = self.batch_peak.max(other.batch_peak);
         self.group_refreshes += other.group_refreshes;
         self.probe_batches += other.probe_batches;
-        self.fused_stages += other.fused_stages;
-        self.compiled_kernel_runs += other.compiled_kernel_runs;
         self.out_inserts += other.out_inserts;
         self.out_retractions += other.out_retractions;
         self.out_ctis += other.out_ctis;

@@ -44,7 +44,6 @@
 pub mod aggregate;
 pub mod consistency;
 pub mod executor;
-pub mod fused;
 pub mod join;
 pub mod negation;
 pub mod operator;
@@ -56,7 +55,6 @@ pub mod stateless;
 pub use cedr_obs::OpStats;
 pub use consistency::{ConsistencyLevel, ConsistencySpec};
 pub use executor::{Dataflow, DataflowBuilder, NodeId, Port};
-pub use fused::{FusedStage, FusedStatelessOp};
 pub use operator::{OpContext, OperatorModule, OperatorShell, OutputBuffer};
 
 /// Convenience prelude.
@@ -64,7 +62,6 @@ pub mod prelude {
     pub use crate::aggregate::GroupAggregateOp;
     pub use crate::consistency::{ConsistencyLevel, ConsistencySpec};
     pub use crate::executor::{Dataflow, DataflowBuilder, NodeId, Port};
-    pub use crate::fused::{FusedStage, FusedStatelessOp};
     pub use crate::join::JoinOp;
     pub use crate::negation::{NegationOp, NegationScope};
     pub use crate::operator::{OpContext, OperatorModule, OperatorShell, OutputBuffer};

@@ -39,23 +39,6 @@
 //!   engine's threaded ≡ serial pin needs). Per-message
 //!   ingestion degenerates to runs of one message, where the contract
 //!   coincides with classic per-message view maintenance.
-//! * **Plan-rewritten** operators (the fusion pass's `FusedStatelessOp`,
-//!   see [`crate::fused`]) are held to a third, collector-level contract:
-//!   the *graph shape differs* — a fused node replaces a whole chain of
-//!   stateless shells, so per-edge tapes and per-node stats for the
-//!   collapsed interior no longer exist — but the **collector output is
-//!   bit-identical** to the unfused plan's: same stamped tape, same
-//!   subscription deltas, same output CTIs, at every ⟨M, B⟩ spectrum
-//!   point. The fused node earns this by emulating each interior shell's
-//!   consistency monitor (alignment, forgetting, reorder guard, chain
-//!   generations, CTI mapping) at its stage boundaries without ever
-//!   materialising the interior streams. The contract is independent of
-//!   the node's *evaluation strategy*: by default the payload side of
-//!   the chain runs as register-time-compiled column kernels
-//!   (`OpStats::compiled_kernel_runs`; `CEDR_COMPILE=0` falls back to
-//!   the interpreted stage IR), and compiled, interpreted and unfused
-//!   executions are all held to the same collector-level bit-identity,
-//!   at every ⟨consistency, workers, compiled?⟩ point.
 //!
 //! **Runs of one are the semantic reference.** There is no separate
 //! per-message hook: classic per-message view maintenance *is* `on_batch`
@@ -163,10 +146,8 @@ impl OutputBuffer {
 ///
 /// The paper's retraction model (Figure 2) requires a completely removed
 /// event to be gone for good, so shells rewrite re-inserted IDs to fresh
-/// per-generation identities. Shared with the fused pipeline, whose
-/// interior stage boundaries must apply the *same* remapping the shells
-/// they replace would have.
-pub(crate) fn generation_id(id: cedr_temporal::EventId, gen: u64) -> cedr_temporal::EventId {
+/// per-generation identities.
+fn generation_id(id: cedr_temporal::EventId, gen: u64) -> cedr_temporal::EventId {
     if gen == 0 {
         return id;
     }
@@ -185,8 +166,6 @@ pub struct OpEffort {
     pub group_refreshes: u64,
     /// Delivery runs probed batch-natively (join).
     pub probe_batches: u64,
-    /// Compiled-kernel sweeps run over payload columns (fused node).
-    pub compiled_kernel_runs: u64,
 }
 
 /// Execution context handed to operational modules.
@@ -286,21 +265,6 @@ pub trait OperatorModule: Send {
         watermark - self.cti_lag()
     }
 
-    /// End of a delivery round: called once per shell `push_batch`, after
-    /// the final flush/advance/CTI. Modules that emulate interior shells
-    /// (the fused pipeline) run their round-scoped guard cleanup here —
-    /// the point where each replaced downstream shell would have executed
-    /// its own end-of-batch flush. Ordinary modules ignore it.
-    fn on_round_end(&mut self) {}
-
-    /// How many plan-time-fused stateless stages this module stands in for
-    /// (0 for ordinary operators). Reported once into
-    /// [`OpStats::fused_stages`] at shell construction so observers can
-    /// tell a fused plan from an unfused one.
-    fn fused_stages(&self) -> usize {
-        0
-    }
-
     /// Serialize the module's *runtime* state (checkpointing). Plan-time
     /// parameters (predicates, windows, key exprs) are not written — a
     /// restore target is built by re-registering the same plan, so only
@@ -368,10 +332,6 @@ struct PendingDelivery {
 impl OperatorShell {
     pub fn new(module: Box<dyn OperatorModule>, spec: ConsistencySpec) -> Self {
         let arity = module.arity();
-        let stats = OpStats {
-            fused_stages: module.fused_stages() as u64,
-            ..OpStats::default()
-        };
         OperatorShell {
             module,
             spec,
@@ -385,7 +345,7 @@ impl OperatorShell {
             orphans: vec![Default::default(); arity],
             pending: Vec::new(),
             out: OutputBuffer::new(),
-            stats,
+            stats: OpStats::default(),
             last_cti: None,
             out_generations: Default::default(),
         }
@@ -470,7 +430,6 @@ impl OperatorShell {
         }
         self.advance_module();
         self.emit_cti();
-        self.module.on_round_end();
         self.finish()
     }
 
@@ -711,7 +670,6 @@ impl OperatorShell {
     fn absorb_effort(&mut self, effort: OpEffort) {
         self.stats.group_refreshes += effort.group_refreshes;
         self.stats.probe_batches += effort.probe_batches;
-        self.stats.compiled_kernel_runs += effort.compiled_kernel_runs;
     }
 
     fn emit_cti(&mut self) {

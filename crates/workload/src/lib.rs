@@ -13,9 +13,8 @@
 //! * [`matrix`] — the consistency matrix harness: every scenario ×
 //!   consistency level × operator family driven through the modern
 //!   engine surface (`ChannelSource` + pump + `Subscription`), pinned
-//!   bit-identical across 1/4 workers and fused/unfused/interpreted
-//!   legs **before** measuring blocking, repair churn, state peaks and
-//!   accuracy from [`Engine::metrics`](cedr_core::engine::Engine::metrics).
+//!   bit-identical across its 1- and 4-worker legs **before** measuring
+//!   blocking, repair churn, state peaks and accuracy from [`Engine::metrics`](cedr_core::engine::Engine::metrics).
 //!   The committed `docs/CONSISTENCY.md` is this harness's rendered
 //!   output (regenerate with the `scenario_matrix` binary in
 //!   `cedr-bench`).

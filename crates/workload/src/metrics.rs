@@ -3,8 +3,8 @@
 //! `tests/consistency_levels.rs`. It pushes messages straight into a
 //! lowered plan's dataflow — no engine, no sessions, no channel; new
 //! measurement code should prefer the engine-surface harness in
-//! [`crate::matrix`], which pins bit-identity across workers and fusion
-//! legs before measuring.
+//! [`crate::matrix`], which pins bit-identity across worker counts
+//! before measuring.
 //!
 //! [`run_experiment`] scrambles each input stream under a delivery
 //! regime (a [`DisorderConfig`]), drives the plan — lowered at the

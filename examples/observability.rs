@@ -111,8 +111,8 @@ fn main() {
     }
 
     // The counter classes behave as documented: semantic totals are
-    // invariant across CEDR_THREADS / CEDR_FUSE / CEDR_COMPILE, so this
-    // example asserts on them regardless of environment.
+    // invariant across CEDR_THREADS worker counts, so this example
+    // asserts on them regardless of environment.
     let sem = snap.semantic();
     assert_eq!(sem.queries.len(), 2);
     assert_eq!(

@@ -4,12 +4,11 @@
 //! Observability section of `cedr_core::engine`):
 //!
 //! 1. **Semantic counters** ([`MetricsSnapshot::semantic`]) are
-//!    bit-identical across `CEDR_THREADS`, `CEDR_FUSE` and
-//!    `CEDR_COMPILE` for the same logical workload.
+//!    bit-identical across `CEDR_THREADS` for the same logical workload.
 //! 2. **Execution counters** (per-node operator stats, engine ingress,
 //!    channel admission totals) are exact for a fixed configuration —
-//!    here pinned identical across worker counts at a fixed fuse mode,
-//!    where only the thread gauge may differ.
+//!    here pinned identical across worker counts, where only the thread
+//!    gauge may differ.
 //! 3. **Timing histograms** sit behind the [`ObsClock`] seam and are
 //!    excluded: a frozen [`ManualClock`] proves no counter reads the
 //!    clock.
@@ -47,12 +46,8 @@ fn tape() -> Vec<MessageBatch> {
 /// snapshot. A frozen `ManualClock` (when `freeze_clock`) stands in for
 /// wall time, so any counter that accidentally read the clock would
 /// diverge from the real-clock runs.
-fn run(threads: usize, fuse: bool, compile: bool, freeze_clock: bool) -> MetricsSnapshot {
-    let mut engine = Engine::with_config(
-        EngineConfig::threaded(threads)
-            .with_fuse(fuse)
-            .with_compile_kernels(compile),
-    );
+fn run(threads: usize, freeze_clock: bool) -> MetricsSnapshot {
+    let mut engine = Engine::with_config(EngineConfig::threaded(threads));
     if freeze_clock {
         engine.set_obs_clock(Arc::new(ManualClock::new()));
     }
@@ -108,64 +103,58 @@ fn run(threads: usize, fuse: bool, compile: bool, freeze_clock: bool) -> Metrics
     engine.metrics()
 }
 
-const MODES: [(bool, bool); 3] = [(true, true), (true, false), (false, false)];
-
-/// Class 1: the semantic projection is bit-identical across every
-/// supported (threads × fuse × compile) combination, clock frozen or not.
+/// Class 1: the semantic projection is bit-identical across worker
+/// counts, clock frozen or not.
 #[test]
 fn semantic_counters_identical_across_threads_and_modes() {
-    let baseline: SemanticCounters = run(1, true, true, false).counters.semantic();
+    let baseline: SemanticCounters = run(1, false).counters.semantic();
     assert_eq!(baseline.queries.len(), 3);
     assert!(baseline.rounds_completed > 0);
     let ch = baseline.channel.as_ref().expect("channel block present");
     assert_eq!(ch.messages_admitted, 24);
     assert_eq!(baseline.checkpoints, 1);
     for threads in [1usize, 4] {
-        for (fuse, compile) in MODES {
-            for freeze in [false, true] {
-                let got = run(threads, fuse, compile, freeze).counters.semantic();
-                assert_eq!(
-                    got, baseline,
-                    "semantic counters diverged at threads={threads} fuse={fuse} \
-                     compile={compile} frozen_clock={freeze}"
-                );
-            }
+        for freeze in [false, true] {
+            let got = run(threads, freeze).counters.semantic();
+            assert_eq!(
+                got, baseline,
+                "semantic counters diverged at threads={threads} frozen_clock={freeze}"
+            );
         }
     }
 }
 
-/// Class 2: at a fixed fuse/compile mode, the per-query counter snapshot
-/// — per-node operator counters included — and the ingress counters are
+/// Class 2: with the clock frozen, the per-query counter snapshot —
+/// per-node operator counters included — and the ingress counters are
 /// identical across worker counts; only the thread gauge may differ.
 #[test]
 fn full_counters_identical_across_worker_counts_at_fixed_mode() {
-    for (fuse, compile) in MODES {
-        let one = run(1, fuse, compile, true).counters;
-        let four = run(4, fuse, compile, true).counters;
-        assert_eq!(
-            one.queries, four.queries,
-            "per-query/per-node counters diverged across threads at fuse={fuse} compile={compile}"
-        );
-        assert_eq!(one.channel, four.channel);
-        // Checkpoint *counts* are semantic; image bytes are pinned by
-        // `tests/golden_images.rs`.
-        assert_eq!(one.checkpoints.checkpoints, four.checkpoints.checkpoints);
-        assert_eq!(one.checkpoints.restores, four.checkpoints.restores);
-        assert_eq!(one.rounds_completed, four.rounds_completed);
-        // One ingress queue, whatever the worker count: staging,
-        // admission and backpressure count the same.
-        assert_eq!(one.ingress_total, four.ingress_total);
-    }
+    let one = run(1, true).counters;
+    let four = run(4, true).counters;
+    assert_eq!(
+        one.queries, four.queries,
+        "per-query/per-node counters diverged across threads"
+    );
+    assert_eq!(one.channel, four.channel);
+    // Checkpoint *counts* are semantic; image bytes are pinned by
+    // `tests/golden_images.rs`.
+    assert_eq!(one.checkpoints.checkpoints, four.checkpoints.checkpoints);
+    assert_eq!(one.checkpoints.restores, four.checkpoints.restores);
+    assert_eq!(one.rounds_completed, four.rounds_completed);
+    // One ingress queue, whatever the worker count: staging,
+    // admission and backpressure count the same.
+    assert_eq!(one.ingress_total, four.ingress_total);
 }
 
 /// Class 3 exclusion, from the other side: with a frozen manual clock
 /// every histogram stays empty-of-time (all samples are zero-duration),
 /// while the counters above already proved they don't care. Also pins
-/// that execution-mode counters *do* move with the mode — fusion and
-/// kernel compilation are visible in the snapshot, not silently absent.
+/// that the execution layout is visible in the snapshot: the thread
+/// gauge reports the worker count, and a select → project chain runs as
+/// one shell per operator.
 #[test]
 fn frozen_clock_empties_timings_and_modes_are_visible() {
-    let frozen = run(1, true, true, true);
+    let frozen = run(1, true);
     assert!(frozen.timings.round_drain.count() > 0, "rounds were timed");
     assert_eq!(
         frozen.timings.round_drain.max(),
@@ -174,40 +163,29 @@ fn frozen_clock_empties_timings_and_modes_are_visible() {
     );
     assert_eq!(frozen.timings.checkpoint_write.max(), 0);
 
-    let fused = run(1, true, true, false).counters;
-    let unfused = run(1, false, false, false).counters;
-    let fused_stages: u64 = fused.queries.iter().map(|q| q.total.fused_stages).sum();
-    let kernel_runs: u64 = fused
-        .queries
-        .iter()
-        .map(|q| q.total.compiled_kernel_runs)
-        .sum();
-    assert!(fused_stages > 0, "fusion engaged and counted");
-    assert!(kernel_runs > 0, "compiled kernels engaged and counted");
-    assert_eq!(
-        unfused
-            .queries
-            .iter()
-            .map(|q| q.total.fused_stages)
-            .sum::<u64>(),
-        0
-    );
+    assert_eq!(frozen.counters.threads, 1);
+    assert_eq!(run(4, true).counters.threads, 4);
+    let filter = &frozen.counters.queries[0];
+    let nodes: Vec<&str> = filter.nodes.iter().map(|n| n.name.as_str()).collect();
+    assert_eq!(nodes, ["0:select", "1:project"]);
+    assert!(filter.nodes.iter().all(|n| n.stats.arrivals > 0));
 }
 
 /// Every snapshot's Prometheus rendering parses under the text-format
 /// grammar, and the family/sample counts are themselves deterministic
-/// across modes (labels come from query names, not execution layout).
+/// across worker counts (labels come from query names, not execution
+/// layout).
 #[test]
 fn prometheus_exposition_is_valid_and_stable() {
     let mut counts = std::collections::BTreeSet::new();
-    for (fuse, compile) in MODES {
-        let snap = run(2, fuse, compile, false);
+    for threads in [1usize, 2, 4] {
+        let snap = run(threads, false);
         let summary =
             validate_exposition(&snap.render_prometheus()).expect("exposition must parse");
         assert!(summary.families > 20, "rich snapshot exports many families");
         counts.insert(summary.families);
     }
-    assert_eq!(counts.len(), 1, "family count stable across modes");
+    assert_eq!(counts.len(), 1, "family count stable across worker counts");
 }
 
 /// Telemetry observes, it does not perturb: a run with the trace ring on

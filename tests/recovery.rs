@@ -6,9 +6,9 @@
 //! emissions replayed. The recovered tape — stamped output, subscription
 //! deltas, output CTI — must be **bit-identical to the unfailed run**,
 //! across seeds × Strong/Middle/Weak × worker counts {1, 4} × checkpoint
-//! positions, with all five operator families (and their fused + compiled
-//! stateless chains) live at the boundary. Recovery that changes even one
-//! bit is observable; recovery that changes none is provably invisible.
+//! positions, with all five operator families (and a stateless chain)
+//! live at the boundary. Recovery that changes even one bit is
+//! observable; recovery that changes none is provably invisible.
 //!
 //! Alongside the headline equality the suite pins the image contract:
 //! `checkpoint → restore → checkpoint` is byte-equal, checkpointing never
@@ -23,8 +23,8 @@ use cedr::streams::{scramble, MessageBatch};
 use cedr::temporal::time::{dur, t};
 
 /// Four plans covering all five operator families — plus a pure stateless
-/// chain (`sel_win`) that fuses (and compiles, when `CEDR_COMPILE` allows)
-/// straight into the sink, so the image carries live fused-boundary state.
+/// chain (`sel_win`: a select shell feeding a window shell) straight into
+/// the sink, so the image carries both shells' live monitor state.
 fn register_queries(engine: &mut Engine, spec: ConsistencySpec) -> Vec<QueryId> {
     for ty in ["A_T", "B_T", "C_T"] {
         engine.register_event_type(ty, vec![("val", FieldType::Int)]);
@@ -373,6 +373,11 @@ fn corrupt_images_fail_typed_and_leave_the_engine_untouched() {
     let mut v2 = image.clone();
     v2[8..12].copy_from_slice(&2u32.to_le_bytes());
     expect_corrupt(&mut engine, &v2, "header", "image is v2");
+    // And v3, which could hold fused-chain node state the one-shell-per-
+    // operator graph has no slot for, and two more counters per shell.
+    let mut v3 = image.clone();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    expect_corrupt(&mut engine, &v3, "header", "image is v3");
 
     // Any flipped body bit fails the content checksum.
     let mut bad = image.clone();

@@ -11,7 +11,7 @@
 //! see merged into one run).
 
 use cedr::core::prelude::*;
-use cedr::lang::{lower_with, optimize, LoweredPlan};
+use cedr::lang::{lower, optimize, LoweredPlan};
 use cedr::workload::matrix::{family_plans, levels};
 use cedr::workload::scenario::{gallery, ScenarioConfig, SCENARIO_TYPES};
 
@@ -48,8 +48,8 @@ fn assert_round_equals_staging(cfg: &ScenarioConfig) {
     for (level, spec) in levels(cfg.span) {
         for (family, plan) in family_plans(cfg.span) {
             let label = format!("{}/{level}/{family}", cfg.name);
-            let lower = || lower_with(&optimize(plan.clone()), &catalog, spec, true, true).unwrap();
-            let (mut by_round, mut by_staging) = (lower(), lower());
+            let lowered = || lower(&optimize(plan.clone()), &catalog, spec).unwrap();
+            let (mut by_round, mut by_staging) = (lowered(), lowered());
             for r in 0..trace.rounds() {
                 let round = trace.scripts.iter().filter_map(|script| {
                     let port = by_round.source_index(script.event_type)?;

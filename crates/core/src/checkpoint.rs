@@ -164,10 +164,11 @@ impl Engine {
     /// Serialize the complete engine image to `w` at a quiescent round
     /// boundary. See the module docs for the image layout.
     ///
-    /// Requires quiescence: no staged ingress, no undelivered
-    /// dataflow queues, no pending shell work — otherwise
+    /// Requires quiescence: no staged ingress — otherwise
     /// [`EngineError::NotQuiescent`] (drain with
-    /// [`Engine::run_to_quiescence`] / [`Engine::pump`] first). Emissions
+    /// [`Engine::run_to_quiescence`] / [`Engine::pump`] first). A dataflow
+    /// cannot hold queued input or pending shell work between calls —
+    /// every round runs to quiescence — so its checks are guards. Emissions
     /// still buffered in the channel or its resequencer are *not* a
     /// quiescence violation: they are folded into the image's `channel`
     /// section and resume where they left off after a restore.

@@ -206,9 +206,10 @@ pub enum EngineError {
     /// carries `CTI(∞)`, so no further ingestion is possible.
     Sealed,
     /// [`Engine::checkpoint`] was called away from a quiescent round
-    /// boundary: staged ingress, undelivered dataflow queues or pending
-    /// shell work would be lost by a boundary image. Drain first
-    /// ([`Engine::run_to_quiescence`] / [`Engine::pump`]).
+    /// boundary: staged ingress would be lost by a boundary image (a
+    /// dataflow holds no input between calls, so only staged ingress
+    /// trips this). Drain first ([`Engine::run_to_quiescence`] /
+    /// [`Engine::pump`]).
     NotQuiescent {
         detail: String,
     },
@@ -1004,10 +1005,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Immediate per-message delivery to pre-resolved subscribers (one
-    /// cascade per message). Ingestion order is preserved across the
-    /// APIs: staged ingress is drained first, so a direct send (a CTI,
-    /// say) can never overtake data that was enqueued before it.
+    /// Immediate per-message delivery to pre-resolved subscribers (a
+    /// one-message round per subscriber). Ingestion order is preserved
+    /// across the APIs: staged ingress is drained first, so a direct send
+    /// (a CTI, say) can never overtake data that was enqueued before it.
     pub(crate) fn send_resolved(&mut self, subs: &SubscriberList, msg: Message) {
         if !self.ingress.is_empty() {
             self.run_to_quiescence();

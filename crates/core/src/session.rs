@@ -197,10 +197,11 @@ impl<'e> SourceHandle<'e> {
     }
 
     /// Deliver one message immediately — flush anything staged, then run
-    /// the historical per-message cascade (minus its per-call lookups):
-    /// the message reaches every subscribing dataflow and the graphs run
-    /// to quiescence before this returns. This is the latency-first mode;
-    /// prefer staging + flush when the caller holds a run of messages.
+    /// a one-message round in every subscribing dataflow
+    /// ([`Dataflow::push_source`](cedr_runtime::Dataflow::push_source)),
+    /// each to quiescence before this returns. This is the latency-first
+    /// mode; prefer staging + flush when the caller holds a run of
+    /// messages.
     pub fn send(&mut self, msg: Message) {
         self.flush();
         self.engine.send_resolved(&self.subs, msg);

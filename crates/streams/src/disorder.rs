@@ -16,6 +16,7 @@ use crate::message::Message;
 use cedr_temporal::{Duration, TimePoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Configuration of the simulated unreliable channel.
 #[derive(Clone, Debug)]
@@ -56,83 +57,97 @@ impl DisorderConfig {
     }
 }
 
-/// Scramble a **sync-ordered** stream into a delayed delivery order.
-///
-/// Each data message is assigned a delivery key `sync + U[0, max_delay]`;
-/// messages are stably sorted by that key. Source CTIs are discarded and
-/// fresh ones are re-derived from what has actually been delivered: after
-/// every `cti_period` data messages a `CTI(t)` is emitted with the largest
-/// `t` such that every undelivered message has `Sync ≥ t` — exactly the
-/// "guarantees on input time" an upstream provider could legitimately
-/// declare. A final `CTI(∞)` seals the stream if the source was sealed.
+/// Scramble a **sync-ordered** stream into a delayed delivery order: the
+/// one-stream case of [`merge_scramble`].
 pub fn scramble(source: &[Message], cfg: &DisorderConfig) -> Vec<Message> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let sealed = matches!(source.last(), Some(Message::Cti(t)) if t.is_infinite());
+    let merged = merge_scramble(&[(0, source)], cfg);
+    merged.into_iter().map(|(_, m)| m).collect()
+}
 
-    // Assign delivery keys to data messages only.
-    let mut keyed: Vec<(TimePoint, usize, Message)> = Vec::with_capacity(source.len());
-    for (i, m) in source.iter().enumerate() {
-        if !m.is_data() {
-            continue;
-        }
-        let delay = if cfg.max_delay == 0 {
+/// Scramble several **sync-ordered** streams onto ONE delivery timeline;
+/// each delivered message is tagged with its stream's label.
+///
+/// Each data message is assigned a delivery key `sync + U[0, max_delay]`
+/// (the RNG seeded per stream from `cfg.seed` and the label, so label 0
+/// draws from `cfg.seed` itself); with probability `dup_probability` it
+/// is delivered a second time under a key of its own. The timeline is
+/// stably sorted by key, so cross-stream arrival order tracks
+/// application time plus disorder — the realistic regime for
+/// multi-provider queries. Source CTIs are discarded and fresh ones are
+/// re-derived per stream from what has actually been delivered: after
+/// every `cti_period` data messages of a stream, a `CTI(t)` with the
+/// largest `t` such that every undelivered message of that stream has
+/// `Sync ≥ t` — exactly the "guarantees on input time" an upstream
+/// provider could legitimately declare. A stream that was sealed ends
+/// with `CTI(∞)`.
+pub fn merge_scramble(
+    streams: &[(usize, &[Message])],
+    cfg: &DisorderConfig,
+) -> Vec<(usize, Message)> {
+    fn delay(rng: &mut StdRng, max_delay: u64) -> Duration {
+        Duration(if max_delay == 0 {
             0
         } else {
-            rng.gen_range(0..=cfg.max_delay)
-        };
-        let key = m.sync() + Duration(delay);
-        keyed.push((key, i, m.clone()));
-        if cfg.dup_probability > 0.0 && rng.gen_bool(cfg.dup_probability) {
-            let extra = if cfg.max_delay == 0 {
-                0
-            } else {
-                rng.gen_range(0..=cfg.max_delay)
+            rng.gen_range(0..=max_delay)
+        })
+    }
+    // `(key, tie-break, slot, message)`: a duplicate shares its
+    // original's tie-break, so the stable sort keeps the original first.
+    let mut keyed: Vec<(TimePoint, usize, usize, Message)> = Vec::new();
+    // Per stream: counting multiset of undelivered syncs, which bounds
+    // the CTIs the stream may emit.
+    let mut remaining: Vec<BTreeMap<TimePoint, usize>> = vec![BTreeMap::new(); streams.len()];
+    let mut seq = 0usize;
+    for (slot, &(label, msgs)) in streams.iter().enumerate() {
+        let mut rng =
+            StdRng::seed_from_u64(cfg.seed ^ (label as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for m in msgs.iter().filter(|m| m.is_data()) {
+            let mut deliver = |key| {
+                keyed.push((key, seq, slot, m.clone()));
+                *remaining[slot].entry(m.sync()).or_insert(0) += 1;
             };
-            keyed.push((m.sync() + Duration(extra), i, m.clone()));
+            deliver(m.sync() + delay(&mut rng, cfg.max_delay));
+            if cfg.dup_probability > 0.0 && rng.gen_bool(cfg.dup_probability) {
+                deliver(m.sync() + delay(&mut rng, cfg.max_delay));
+            }
+            seq += 1;
         }
     }
-    keyed.sort_by_key(|(key, i, _)| (*key, *i));
+    keyed.sort_by_key(|&(key, seq, ..)| (key, seq));
 
-    // Counting multiset of undelivered syncs: bounds the CTIs we may emit.
-    let mut remaining: std::collections::BTreeMap<TimePoint, usize> =
-        std::collections::BTreeMap::new();
-    for (_, _, m) in &keyed {
-        *remaining.entry(m.sync()).or_insert(0) += 1;
-    }
-
-    let mut out = Vec::with_capacity(
-        keyed.len() + keyed.len() / cfg.cti_period.unwrap_or(usize::MAX).max(1) + 2,
-    );
-    let mut since_cti = 0usize;
-    let mut last_cti = TimePoint::ZERO;
-    for (_, _, m) in keyed {
+    let mut out = Vec::with_capacity(keyed.len() + streams.len());
+    let mut since_cti = vec![0usize; streams.len()];
+    let mut last_cti = vec![TimePoint::ZERO; streams.len()];
+    for (_, _, slot, m) in keyed {
+        let label = streams[slot].0;
         let sync = m.sync();
-        if let Some(count) = remaining.get_mut(&sync) {
+        let rem = &mut remaining[slot];
+        if let Some(count) = rem.get_mut(&sync) {
             *count -= 1;
             if *count == 0 {
-                remaining.remove(&sync);
+                rem.remove(&sync);
             }
         }
-        out.push(m);
-        since_cti += 1;
-        if let Some(period) = cfg.cti_period {
-            if since_cti >= period {
-                since_cti = 0;
-                // Safe CTI: no undelivered message has a smaller sync.
-                let safe = remaining
-                    .keys()
-                    .next()
-                    .copied()
-                    .unwrap_or(TimePoint::INFINITY);
-                if safe > last_cti && safe.is_finite() {
-                    out.push(Message::Cti(safe));
-                    last_cti = safe;
-                }
+        out.push((label, m));
+        since_cti[slot] += 1;
+        if cfg
+            .cti_period
+            .is_some_and(|period| since_cti[slot] >= period)
+        {
+            since_cti[slot] = 0;
+            // Safe CTI: no undelivered message of the stream has a
+            // smaller sync.
+            let safe = rem.keys().next().copied().unwrap_or(TimePoint::INFINITY);
+            if safe > last_cti[slot] && safe.is_finite() {
+                out.push((label, Message::Cti(safe)));
+                last_cti[slot] = safe;
             }
         }
     }
-    if sealed {
-        out.push(Message::Cti(TimePoint::INFINITY));
+    for &(label, msgs) in streams {
+        if matches!(msgs.last(), Some(Message::Cti(t)) if t.is_infinite()) {
+            out.push((label, Message::Cti(TimePoint::INFINITY)));
+        }
     }
     out
 }
@@ -264,5 +279,28 @@ mod tests {
         let data = out.iter().filter(|m| m.is_data()).count();
         assert!(data > 100, "expected duplicated deliveries, got {data}");
         assert_ctis_legal(&out);
+    }
+
+    #[test]
+    fn merged_streams_carry_duplicates_too() {
+        let (a, b) = (ordered_stream(100), ordered_stream(60));
+        let cfg = DisorderConfig {
+            seed: 11,
+            max_delay: 5,
+            cti_period: Some(10),
+            dup_probability: 0.5,
+        };
+        let out = merge_scramble(&[(3, &a), (7, &b)], &cfg);
+        for (label, originals) in [(3, 100), (7, 60)] {
+            let stream: Vec<Message> = out
+                .iter()
+                .filter(|(l, _)| *l == label)
+                .map(|(_, m)| m.clone())
+                .collect();
+            let data = stream.iter().filter(|m| m.is_data()).count();
+            assert!(data > originals, "stream {label}: {data} deliveries");
+            assert_ctis_legal(&stream);
+            assert_eq!(stream.last(), Some(&Message::Cti(TimePoint::INFINITY)));
+        }
     }
 }

@@ -21,7 +21,7 @@ pub use batch::{ColumnarView, MessageBatch, MessageKind};
 pub use clock::CedrClock;
 pub use collect::{Collector, StreamStats};
 pub use delta::OutputDelta;
-pub use disorder::{disorder_profile, scramble, DisorderConfig};
+pub use disorder::{disorder_profile, merge_scramble, scramble, DisorderConfig};
 pub use message::{Message, Retraction, Stamped};
 pub use resequence::{LaneParts, Resequencer, ResequencerParts, RoundStatus};
 pub use source::StreamBuilder;
@@ -32,7 +32,7 @@ pub mod prelude {
     pub use crate::clock::CedrClock;
     pub use crate::collect::{Collector, StreamStats};
     pub use crate::delta::OutputDelta;
-    pub use crate::disorder::{disorder_profile, scramble, DisorderConfig};
+    pub use crate::disorder::{disorder_profile, merge_scramble, scramble, DisorderConfig};
     pub use crate::message::{Message, Retraction, Stamped};
     pub use crate::source::StreamBuilder;
 }

@@ -43,6 +43,6 @@ pub mod scenario;
 pub use finance::{MarketConfig, NewsConfig, PortfolioConfig};
 pub use machines::{MachineTrace, MachineWorkloadConfig};
 pub use matrix::{run_matrix, FamilyCell, LevelRun, MatrixReport, ScenarioResult};
-pub use metrics::{accuracy_f1, merge_scramble, run_experiment, ExperimentResult};
+pub use metrics::{accuracy_f1, run_experiment, ExperimentResult};
 pub use report::Table;
 pub use scenario::{gallery, ProducerScript, ScenarioConfig, ScenarioProfile, ScenarioTrace};

@@ -19,7 +19,7 @@
 
 use cedr_lang::LoweredPlan;
 use cedr_runtime::OpStats;
-use cedr_streams::{DisorderConfig, Message, StreamStats};
+use cedr_streams::{merge_scramble, DisorderConfig, Message, StreamStats};
 use cedr_temporal::UniTemporalTable;
 
 /// Measured outcomes.
@@ -31,101 +31,6 @@ pub struct ExperimentResult {
     pub output: StreamStats,
     /// Net logical content of the sink.
     pub sink_net: UniTemporalTable,
-}
-
-/// Scramble several per-type streams onto ONE global delivery timeline.
-///
-/// Every data message across all streams gets a delivery key
-/// `sync + U[0, max_delay]` (seeded per stream); the merged timeline is
-/// sorted by key, so cross-stream arrival order tracks application time
-/// plus disorder — the realistic regime for multi-provider queries. Valid
-/// per-stream CTIs are re-derived: after every `cti_period` deliveries of
-/// stream `s`, a `CTI(t)` with the largest safe `t` for `s` is injected;
-/// sealed streams end with `CTI(∞)`.
-pub fn merge_scramble(
-    streams: &[(usize, &[Message])],
-    cfg: &DisorderConfig,
-) -> Vec<(usize, Message)> {
-    use cedr_temporal::{Duration, TimePoint};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::collections::BTreeMap;
-
-    struct Item {
-        key: TimePoint,
-        seq: usize,
-        source: usize,
-        msg: Message,
-    }
-    let mut items: Vec<Item> = Vec::new();
-    let mut remaining: Vec<BTreeMap<TimePoint, usize>> = Vec::new();
-    let mut sealed: Vec<bool> = Vec::new();
-    let mut seq = 0usize;
-    for (src, msgs) in streams {
-        let mut rng =
-            StdRng::seed_from_u64(cfg.seed ^ (*src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut rem: BTreeMap<TimePoint, usize> = BTreeMap::new();
-        sealed.push(matches!(msgs.last(), Some(Message::Cti(t)) if t.is_infinite()));
-        for m in msgs.iter() {
-            if !m.is_data() {
-                continue;
-            }
-            let delay = if cfg.max_delay == 0 {
-                0
-            } else {
-                rng.gen_range(0..=cfg.max_delay)
-            };
-            items.push(Item {
-                key: m.sync() + Duration(delay),
-                seq,
-                source: *src,
-                msg: m.clone(),
-            });
-            seq += 1;
-            *rem.entry(m.sync()).or_insert(0) += 1;
-        }
-        remaining.push(rem);
-    }
-    items.sort_by_key(|i| (i.key, i.seq));
-
-    let src_slot: Vec<usize> = streams.iter().map(|(s, _)| *s).collect();
-    let slot_of = |src: usize| src_slot.iter().position(|s| *s == src).expect("known");
-
-    let mut out: Vec<(usize, Message)> = Vec::with_capacity(items.len() + 16);
-    let mut since_cti: Vec<usize> = vec![0; streams.len()];
-    let mut last_cti: Vec<TimePoint> = vec![TimePoint::ZERO; streams.len()];
-    for item in items {
-        let slot = slot_of(item.source);
-        let sync = item.msg.sync();
-        if let Some(c) = remaining[slot].get_mut(&sync) {
-            *c -= 1;
-            if *c == 0 {
-                remaining[slot].remove(&sync);
-            }
-        }
-        out.push((item.source, item.msg));
-        since_cti[slot] += 1;
-        if let Some(period) = cfg.cti_period {
-            if since_cti[slot] >= period {
-                since_cti[slot] = 0;
-                let safe = remaining[slot]
-                    .keys()
-                    .next()
-                    .copied()
-                    .unwrap_or(TimePoint::INFINITY);
-                if safe > last_cti[slot] && safe.is_finite() {
-                    out.push((item.source, Message::Cti(safe)));
-                    last_cti[slot] = safe;
-                }
-            }
-        }
-    }
-    for (slot, (src, _)) in streams.iter().enumerate() {
-        if sealed[slot] {
-            out.push((*src, Message::Cti(TimePoint::INFINITY)));
-        }
-    }
-    out
 }
 
 /// Run one experiment cell — `plan` under the `disorder` delivery regime

@@ -8,8 +8,9 @@
 //! Run with: `cargo run --example machine_monitoring`
 
 use cedr::core::prelude::*;
+use cedr::streams::merge_scramble;
 use cedr::workload::machines::{self, MachineWorkloadConfig};
-use cedr::workload::metrics::{accuracy_f1, merge_scramble};
+use cedr::workload::metrics::accuracy_f1;
 
 const QUERY: &str = "\
 EVENT CIDR07_Example

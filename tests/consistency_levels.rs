@@ -7,8 +7,9 @@
 //! * Figure 9: monotone behaviour across the ⟨M, B⟩ plane.
 
 use cedr::core::prelude::*;
+use cedr::streams::merge_scramble;
 use cedr::workload::machines::{self, MachineWorkloadConfig};
-use cedr::workload::metrics::{accuracy_f1, merge_scramble, run_experiment};
+use cedr::workload::metrics::{accuracy_f1, run_experiment};
 use cedr_bench_shim::*;
 
 /// Local reimplementation of the bench harness (the umbrella crate does not

@@ -6,7 +6,7 @@
 use cedr::algebra::expr::{CmpOp, Pred, Scalar};
 use cedr::algebra::relational::AggFunc;
 use cedr::core::prelude::*;
-use cedr::workload::metrics::merge_scramble;
+use cedr::streams::merge_scramble;
 
 fn engine2() -> Engine {
     let mut e = Engine::new();

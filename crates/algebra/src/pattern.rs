@@ -106,7 +106,7 @@ fn eval_pred(pred: &Pred, contributors: &[Option<Event>]) -> bool {
 /// unitemporal model and are dropped by the enumeration functions.
 fn compose_output(chosen: &[(usize, &Event)], w: Duration) -> Event {
     // `chosen` is in Vs order: first = ei1, last = ein.
-    let ids: Vec<EventId> = chosen.iter().map(|(_, e)| e.id).collect();
+    let lineage: Lineage = chosen.iter().map(|(_, e)| e.id).collect();
     let first = chosen.first().expect("non-empty match").1;
     let last = chosen.last().expect("non-empty match").1;
     let rt = chosen
@@ -115,10 +115,10 @@ fn compose_output(chosen: &[(usize, &Event)], w: Duration) -> Event {
         .min()
         .expect("non-empty match");
     Event::composite(
-        idgen(&ids),
+        idgen(&lineage.0),
         Interval::new(last.vs(), first.vs() + w),
         rt,
-        Lineage::of(ids.clone()),
+        lineage,
         Payload::concat_all(chosen.iter().map(|(_, e)| &e.payload)),
     )
 }

@@ -210,21 +210,27 @@ pub fn group_aggregate(input: &[Event], key: &[Scalar], agg: &AggFunc) -> EventS
             if live.is_empty() {
                 continue;
             }
-            let value = agg.eval(&live);
-            let mut payload: Vec<Value> = kvals.clone();
-            payload.push(value);
-            let payload = Payload::from_values(payload);
-            let id = idgen2(
-                agg.tag() ^ hash_payload(&payload),
-                seg.start.0 ^ seg.end.0.rotate_left(32),
-            );
-            out.push(Event::primitive(id, seg, payload));
+            out.push(segment_event(&kvals, agg.eval(&live), seg, agg));
         }
     }
     // Adjacent segments with equal values are distinct events here; the `*`
     // operator (coalescing) identifies them, which is exactly why these
     // outputs are view-update compliant rather than syntactically canonical.
     out
+}
+
+/// The output event of one constant segment `seg` of a group's aggregate:
+/// payload `key ++ [value]`, identity derived from that payload and the
+/// segment, so equal segments get equal ids however they were computed.
+/// The one constructor of [`group_aggregate`]'s events and of the runtime
+/// operator's.
+pub fn segment_event(key: &[Value], value: Value, seg: Interval, agg: &AggFunc) -> Event {
+    let payload: Payload = key.iter().cloned().chain([value]).collect();
+    let id = idgen2(
+        agg.tag() ^ hash_payload(&payload),
+        seg.start.0 ^ seg.end.0.rotate_left(32),
+    );
+    Event::primitive(id, seg, payload)
 }
 
 fn hash_payload(p: &Payload) -> u64 {

@@ -3,11 +3,27 @@
 //! Per group the operator maintains the live member events and the
 //! currently-emitted step function of the aggregate (one output event per
 //! maximal constant segment, exactly as the denotational
-//! `cedr_algebra::group_aggregate`). Any state change triggers a
-//! recompute-and-diff of the affected group: removed segments are fully
-//! retracted, added segments inserted — so out-of-order arrivals and input
-//! retractions repair optimistic output with retractions, the middle-level
-//! behaviour of Section 5.
+//! `cedr_algebra::group_aggregate`). Any state change triggers a *refresh*
+//! of the affected group: removed segments are fully retracted, added
+//! segments inserted — so out-of-order arrivals and input retractions
+//! repair optimistic output with retractions, the middle-level behaviour
+//! of Section 5.
+//!
+//! **The sweep.** A refresh walks the group's segment edges once, with the
+//! members sorted by `(clipped start, id)` and a live list kept in that
+//! same order, so every segment's value is folded over the members in the
+//! order the oracle folds them (float Sum/Avg are order-sensitive, and
+//! hash-iteration order never reaches the evaluator). Each segment is
+//! compared with the emitted segment at the same start without building an
+//! event; only changed segments are built, through
+//! [`cedr_algebra::relational::segment_event`] — the constructor the
+//! oracle uses, so ids cannot drift — and the emitted map is edited in
+//! place. Emitted segments are `Arc`s shared with the messages that
+//! inserted them, so a retraction costs a refcount bump.
+//! `cedr_algebra::relational::group_aggregate` over the clipped members
+//! stays the oracle: a seeded test pins every refresh's emitted segments
+//! to it bit for bit, and the emitted diff to retractions by start, then
+//! inserts by start, of exactly the segments that changed.
 //!
 //! **Flushing.** Output below the watermark is final. Each group tracks a
 //! `floor`: the point up to which its step function has been flushed.
@@ -24,23 +40,41 @@
 //! batching would have published-and-repaired are never emitted. Net
 //! content, output guarantee and per-run determinism are unchanged; see
 //! the one-refresh-per-run contract
-//! in the [`operator`](crate::operator) module docs. Members are still
-//! sorted before folding, so order-sensitive float aggregates (Sum/Avg)
-//! stay pinned.
+//! in the [`operator`](crate::operator) module docs.
 
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Scalar;
-use cedr_algebra::relational::AggFunc;
+use cedr_algebra::relational::{segment_event, AggFunc};
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Event, EventId, IdMap, Interval, TimePoint, Value};
+use cedr_temporal::{Event, EventId, IdMap, Interval, Payload, TimePoint, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
+
+/// Does `payload` read `key ++ [value]`, comparing values with `eq`?
+fn spells(payload: &Payload, key: &[Value], value: &Value, eq: fn(&Value, &Value) -> bool) -> bool {
+    payload.len() == key.len() + 1
+        && payload
+            .iter()
+            .zip(key.iter().chain([value]))
+            .all(|(a, b)| eq(a, b))
+}
+
+/// Value equality down to the float bits (`==` folds `-0.0` onto `0.0`
+/// and every NaN onto one).
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
 
 #[derive(Default)]
 struct GroupState {
     members: IdMap<Event>,
     /// Currently-emitted segments, keyed by start (maximal constant
-    /// segments never share a start).
-    emitted: BTreeMap<TimePoint, Event>,
+    /// segments never share a start), each shared with the message that
+    /// emitted it: retracting one is a refcount bump.
+    emitted: BTreeMap<TimePoint, Arc<Event>>,
     /// Everything below this is flushed and immutable.
     floor: TimePoint,
 }
@@ -70,51 +104,94 @@ impl GroupAggregateOp {
         self.key.iter().map(|s| s.eval_event(e)).collect()
     }
 
-    /// Recompute the group's segments above its floor and emit the diff
-    /// (one *refresh*: the retract+insert pair-set of the step-function
-    /// change, counted in [`OpStats::group_refreshes`](crate::OpStats)).
+    /// Sweep the group's step function above its floor and emit the diff
+    /// against what is emitted (one *refresh*: the retract+insert pair-set
+    /// of the step-function change, counted in
+    /// [`OpStats::group_refreshes`](crate::OpStats)): retractions by start,
+    /// then inserts by start.
     fn refresh(key: &[Scalar], agg: &AggFunc, g: &mut GroupState, ctx: &mut OpContext) {
         ctx.effort.group_refreshes += 1;
-        // Clip members to the floor; drop empties.
-        let mut clipped: Vec<Event> = g
-            .members
+        let GroupState {
+            members,
+            emitted,
+            floor,
+        } = g;
+        // Members clipped to the floor, in (clipped start, id) order — the
+        // order the oracle folds them in, so float Sum/Avg add up in the
+        // same order and hash-iteration order never reaches the evaluator.
+        let mut clipped: Vec<(TimePoint, &Event)> = members
             .values()
             .filter_map(|e| {
-                let iv =
-                    Interval::new(TimePoint::max_of(e.interval.start, g.floor), e.interval.end);
-                if iv.is_empty() {
-                    None
-                } else {
-                    let mut c = e.clone();
-                    c.interval = iv;
-                    Some(c)
-                }
+                let start = TimePoint::max_of(e.interval.start, *floor);
+                (start < e.interval.end).then_some((start, e))
             })
             .collect();
-        // Deterministic member order before aggregation: float Sum/Avg are
-        // order-sensitive, so hash-iteration order must not reach the
-        // evaluator (output must be a pure function of delivered input).
-        clipped.sort_unstable_by_key(|e| (e.interval.start, e.id));
-        let fresh = cedr_algebra::relational::group_aggregate(&clipped, key, agg);
-        let fresh_by_start: BTreeMap<TimePoint, Event> =
-            fresh.into_iter().map(|e| (e.interval.start, e)).collect();
+        clipped.sort_unstable_by_key(|&(start, e)| (start, e.id));
+        let mut edges: Vec<TimePoint> = clipped
+            .iter()
+            .flat_map(|&(start, e)| [start, e.interval.end])
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // The oracle's payload key is its first member's.
+        let kvals: Vec<Value> = match clipped.first() {
+            Some(&(_, first)) => key.iter().map(|s| s.eval_event(first)).collect(),
+            None => Vec::new(),
+        };
 
-        // Diff: identical (interval, payload) pairs are kept; everything
-        // else is retracted/inserted. IDs are deterministic in (payload,
-        // interval), so identical segments have identical IDs.
-        for (start, old) in g.emitted.iter() {
-            match fresh_by_start.get(start) {
-                Some(new) if new.interval == old.interval && new.payload == old.payload => {}
-                _ => ctx.out.retract_full(old.clone()),
+        // One pass over the segments, merged with the emitted ones by
+        // start. `live` keeps (clipped start, id) order: members join in
+        // that order and leave without reordering the rest.
+        let mut old = emitted.iter().peekable();
+        let mut retract: Vec<TimePoint> = Vec::new();
+        let mut insert: Vec<Arc<Event>> = Vec::new();
+        let mut rebuilt: Vec<Arc<Event>> = Vec::new();
+        let mut live: Vec<&Event> = Vec::new();
+        let mut joining = clipped.iter().peekable();
+        for w in edges.windows(2) {
+            let seg = Interval::new(w[0], w[1]);
+            while let Some(&(_, e)) = joining.next_if(|&&(start, _)| start <= seg.start) {
+                live.push(e);
+            }
+            live.retain(|e| e.interval.end > seg.start);
+            if live.is_empty() {
+                continue;
+            }
+            let value = agg.eval(&live);
+            while let Some((&start, _)) = old.next_if(|&(&start, _)| start < seg.start) {
+                retract.push(start);
+            }
+            match old.next_if(|&(&start, _)| start == seg.start) {
+                Some((_, e))
+                    if e.interval == seg && spells(&e.payload, &kvals, &value, Value::eq) =>
+                {
+                    // Unchanged. `==` on values is IEEE-canonical; keep the
+                    // exact bits the recompute would have (images and later
+                    // retractions carry them) without emitting anything.
+                    if !spells(&e.payload, &kvals, &value, same_bits) {
+                        rebuilt.push(Arc::new(segment_event(&kvals, value, seg, agg)));
+                    }
+                }
+                Some((&start, _)) => {
+                    retract.push(start);
+                    insert.push(Arc::new(segment_event(&kvals, value, seg, agg)));
+                }
+                None => insert.push(Arc::new(segment_event(&kvals, value, seg, agg))),
             }
         }
-        for (start, new) in fresh_by_start.iter() {
-            match g.emitted.get(start) {
-                Some(old) if new.interval == old.interval && new.payload == old.payload => {}
-                _ => ctx.out.insert(new.clone()),
-            }
+        retract.extend(old.map(|(&start, _)| start));
+
+        for start in retract {
+            ctx.out
+                .retract_full(emitted.remove(&start).expect("emitted segment"));
         }
-        g.emitted = fresh_by_start;
+        for e in rebuilt {
+            emitted.insert(e.interval.start, e);
+        }
+        for e in insert {
+            emitted.insert(e.interval.start, e.clone());
+            ctx.out.insert(e);
+        }
     }
 
     /// Fold one insert into group state; `Some(key)` iff state changed.
@@ -265,7 +342,7 @@ impl OperatorModule for GroupAggregateOp {
             let mut emitted = BTreeMap::new();
             for _ in 0..u64::decode(r)? {
                 let start = TimePoint::decode(r)?;
-                emitted.insert(start, Event::decode(r)?);
+                emitted.insert(start, Arc::<Event>::decode(r)?);
             }
             let floor = TimePoint::decode(r)?;
             self.groups.insert(
@@ -285,11 +362,10 @@ impl OperatorModule for GroupAggregateOp {
 mod tests {
     use super::*;
     use crate::consistency::ConsistencySpec;
-    use crate::operator::OperatorShell;
+    use crate::operator::{OperatorShell, OutputBuffer};
     use cedr_streams::{Collector, Message};
     use cedr_temporal::interval::iv;
-    use cedr_temporal::time::t;
-    use cedr_temporal::Payload;
+    use cedr_temporal::time::{dur, t};
 
     fn ev(id: u64, a: u64, b: u64, group: &str, v: i64) -> Event {
         Event::primitive(
@@ -416,6 +492,182 @@ mod tests {
             .map(|(iv, p)| (*iv, p[1].as_i64().unwrap()))
             .collect();
         assert_eq!(got, expected);
+    }
+
+    /// SplitMix64: the seeded stream behind the oracle sweep.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// An event down to its float bits.
+    fn bits(e: &Event) -> Vec<u8> {
+        cedr_durable::to_bytes(e)
+    }
+
+    fn emitted_of(op: &GroupAggregateOp) -> BTreeMap<TimePoint, Arc<Event>> {
+        let mut all = BTreeMap::new();
+        for g in op.groups.values() {
+            all.extend(g.emitted.iter().map(|(&start, e)| (start, e.clone())));
+        }
+        all
+    }
+
+    /// Every group's emitted segments are exactly the oracle's over its
+    /// members clipped to its floor, in (clipped start, id) order.
+    fn assert_matches_oracle(op: &GroupAggregateOp, context: &str) {
+        for g in op.groups.values() {
+            let mut clipped: Vec<Event> = g
+                .members
+                .values()
+                .filter_map(|e| {
+                    let iv = Interval::new(TimePoint::max_of(e.vs(), g.floor), e.ve());
+                    let mut c = e.clone();
+                    c.interval = iv;
+                    (!iv.is_empty()).then_some(c)
+                })
+                .collect();
+            clipped.sort_unstable_by_key(|e| (e.vs(), e.id));
+            let want: Vec<Vec<u8>> =
+                cedr_algebra::relational::group_aggregate(&clipped, &op.key, &op.agg)
+                    .iter()
+                    .map(bits)
+                    .collect();
+            let got: Vec<Vec<u8>> = g.emitted.values().map(|e| bits(e)).collect();
+            assert_eq!(got, want, "{context}: emitted segments vs the oracle");
+        }
+    }
+
+    #[test]
+    fn sweep_refresh_matches_the_oracle_and_emits_the_minimal_diff() {
+        // Order-sensitive values: float sums of 1e16, 1.0 and -1e16 depend
+        // on the order they are added in, Min/Max keep the first/last of
+        // `Int(1)` and `Float(1.0)`, and `-0.0 == 0.0` differ in their bits.
+        let values = [
+            Value::Float(1e16),
+            Value::Float(1.0),
+            Value::Float(-1e16),
+            Value::Int(1),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(3),
+            Value::Float(2.5),
+        ];
+        let aggs = [
+            AggFunc::Count,
+            AggFunc::Sum(Scalar::Field(1)),
+            AggFunc::Min(Scalar::Field(1)),
+            AggFunc::Max(Scalar::Field(1)),
+            AggFunc::Avg(Scalar::Field(1)),
+        ];
+        let mut refreshes = 0;
+        for agg in aggs {
+            for seed in 0..40 {
+                let context = format!("{agg:?} seed {seed}");
+                let mut rng = Rng(seed);
+                // One group whose key is `0.0` or `-0.0`: equal keys, so
+                // the payload's key bits follow the oracle's first member.
+                let mut op = GroupAggregateOp::new(vec![Scalar::Field(0)], agg.clone());
+                let mut out = OutputBuffer::new();
+                let mut watermark = TimePoint::ZERO;
+                let mut sent: Vec<Event> = Vec::new();
+                for _ in 0..30 {
+                    let mut run = Vec::new();
+                    for _ in 0..1 + rng.below(5) {
+                        let pick = rng.below(6);
+                        if pick < 3 || sent.is_empty() {
+                            // A fresh member, at times below the floor.
+                            let vs = (watermark.0 + rng.below(40)).saturating_sub(8);
+                            let key = if rng.below(2) == 0 { 0.0 } else { -0.0 };
+                            let value = values[rng.below(8) as usize].clone();
+                            let e = Event::primitive(
+                                EventId(sent.len() as u64 + 1),
+                                iv(vs, vs + 1 + rng.below(20)),
+                                Payload::from_values(vec![Value::Float(key), value]),
+                            );
+                            sent.push(e.clone());
+                            run.push(Message::insert_event(e));
+                        } else {
+                            let e = sent[rng.below(sent.len() as u64) as usize].clone();
+                            let (vs, ve) = (e.vs().0, e.ve().0);
+                            match pick {
+                                3 => run.push(Message::insert_event(e)), // duplicate
+                                4 => run.push(Message::retract_event(e, t(vs))),
+                                _ => {
+                                    let new_end = vs + rng.below(ve - vs + 1);
+                                    run.push(Message::retract_event(e, t(new_end)));
+                                }
+                            }
+                        }
+                    }
+                    let before = emitted_of(&op);
+                    let mut ctx = OpContext {
+                        spec: ConsistencySpec::middle(),
+                        watermark,
+                        max_seen: watermark,
+                        effort: Default::default(),
+                        out: &mut out,
+                    };
+                    op.on_batch(0, &run, &mut ctx);
+                    let refreshed = ctx.effort.group_refreshes > 0;
+                    let after = emitted_of(&op);
+
+                    // Retractions by start of what no longer stands, then
+                    // inserts by start of what is new; equal segments stay.
+                    let same =
+                        |a: &Event, b: &Event| a.interval == b.interval && a.payload == b.payload;
+                    let mut want: Vec<(bool, Vec<u8>)> = Vec::new();
+                    for (start, old) in &before {
+                        if !after.get(start).is_some_and(|new| same(old, new)) {
+                            want.push((false, bits(old)));
+                        }
+                    }
+                    for (start, new) in &after {
+                        if !before.get(start).is_some_and(|old| same(old, new)) {
+                            want.push((true, bits(new)));
+                        }
+                    }
+                    let got: Vec<(bool, Vec<u8>)> = out
+                        .drain()
+                        .iter()
+                        .map(|m| match m {
+                            Message::Insert(e) => (true, bits(e)),
+                            Message::Retract(r) => {
+                                assert!(r.is_full_removal(), "{context}: segments go whole");
+                                (false, bits(&r.event))
+                            }
+                            Message::Cti(_) => unreachable!("modules emit data only"),
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{context}: the refresh diff");
+                    if refreshed {
+                        refreshes += 1;
+                        assert_matches_oracle(&op, &context);
+                    }
+
+                    if rng.below(3) == 0 {
+                        watermark += dur(rng.below(10));
+                        let mut ctx = OpContext {
+                            spec: ConsistencySpec::middle(),
+                            watermark,
+                            max_seen: watermark,
+                            effort: Default::default(),
+                            out: &mut out,
+                        };
+                        op.on_advance(&mut ctx);
+                        assert!(out.is_empty(), "{context}: flushing emits nothing");
+                    }
+                }
+            }
+        }
+        assert!(refreshes > 2_000, "the sweep ran: {refreshes} refreshes");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::{Pred, Scalar};
 use cedr_algebra::idgen::idgen;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Event, EventId, IdMap, IdSet, Lineage, TimePoint, Value};
+use cedr_temporal::{Event, EventId, IdMap, IdSet, TimePoint, Value};
 use std::collections::HashMap;
 
 #[derive(Default)]
@@ -82,7 +82,7 @@ impl JoinOp {
             id: idgen(&[left.id, right.id]),
             interval: left.interval.intersect(&right.interval),
             root_time: TimePoint::min_of(left.root_time, right.root_time),
-            lineage: Lineage::of(vec![left.id, right.id]),
+            lineage: [left.id, right.id].into_iter().collect(),
             payload: left.payload.concat(&right.payload),
         }
     }

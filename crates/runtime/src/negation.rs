@@ -45,7 +45,7 @@
 use crate::operator::{OpContext, OperatorModule};
 use cedr_algebra::expr::Pred;
 use cedr_streams::{Message, Retraction};
-use cedr_temporal::{Duration, Event, EventId, IdMap, IdSet, Interval, Lineage, TimePoint};
+use cedr_temporal::{Duration, Event, EventId, IdMap, IdSet, Interval, TimePoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -109,7 +109,7 @@ fn output_of(scope: NegationScope, e1: &Event) -> Event {
             e1.id,
             Interval::new(e1.vs(), e1.vs() + w),
             e1.root_time,
-            Lineage::of(vec![e1.id]),
+            [e1.id].into_iter().collect(),
             e1.payload.clone(),
         ),
         NegationScope::History => e1.clone(),
@@ -520,7 +520,7 @@ mod tests {
     use cedr_algebra::expr::{CmpOp, Scalar};
     use cedr_streams::Message;
     use cedr_temporal::time::{dur, t};
-    use cedr_temporal::{Payload, Value};
+    use cedr_temporal::{Lineage, Payload, Value};
 
     fn pt(id: u64, vs: u64) -> Event {
         Event::primitive(EventId(id), Interval::point(t(vs)), Payload::empty())

@@ -59,13 +59,15 @@
 //! **Run boundaries** are the CTI-delimited segments of what the shell
 //! was pushed (for a blocking or forgetful spec: the same-input runs the
 //! alignment buffer releases). **Run memory** is borrowed: where the
-//! reorder guard has nothing to park or replay and the spec neither
-//! blocks nor forgets (Middle), `msgs` is a sub-slice of the batch the
-//! shell's caller holds — possibly the very `MessageBatch` a provider
-//! flushed, shared with every other subscribing query. A module
-//! therefore **clones what it keeps** (an `Arc` bump per event) and must
-//! not assume the slice outlives the call. The shell copies a run only
-//! when it edits it.
+//! reorder guard has nothing to park or replay, `msgs` is a sub-slice of
+//! memory someone else owns. Where the spec neither blocks nor forgets
+//! (Middle) that is the batch the shell's caller holds — possibly the
+//! very `MessageBatch` a provider flushed, shared with every other
+//! subscribing query; under Strong and Weak it is the shell's own pending
+//! buffer, one contiguous vector the monitor refills at every release
+//! and clears after every flush. A module therefore **clones what it
+//! keeps** (an `Arc` bump per event) and must not assume the slice
+//! outlives the call. The shell copies a run only when it edits it.
 //!
 //! **No map iteration order may reach an output or an image.** Every
 //! `EventId`-keyed map in this crate is a
@@ -79,7 +81,8 @@ use crate::consistency::ConsistencySpec;
 use crate::OpStats;
 use cedr_streams::{Message, Retraction};
 use cedr_temporal::{Duration, Event, IdMap, TimePoint};
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Where operational modules put their output state updates.
@@ -137,7 +140,7 @@ impl OutputBuffer {
         self.msgs.is_empty()
     }
 
-    fn drain(&mut self) -> Vec<Message> {
+    pub(crate) fn drain(&mut self) -> Vec<Message> {
         std::mem::take(&mut self.msgs)
     }
 }
@@ -296,8 +299,9 @@ pub struct OperatorShell {
     input_watermarks: Vec<TimePoint>,
     watermark: TimePoint,
     max_seen: TimePoint,
-    /// Alignment buffer, ordered by (sync, arrival seq).
-    align: BTreeMap<(TimePoint, u64), (usize, Message, u64)>,
+    /// Alignment buffer: a min-heap on (sync, arrival seq). Release is a
+    /// threshold on sync, so what is due is always a prefix of that order.
+    align: BinaryHeap<Reverse<Held>>,
     seq: u64,
     /// Reorder guard: disorder can deliver a retraction *before* its own
     /// insert (their syncs are independent). Retractions of unseen events
@@ -308,8 +312,14 @@ pub struct OperatorShell {
     seen_inserts: Vec<IdMap<TimePoint>>,
     orphans: Vec<IdMap<Vec<Retraction>>>,
     /// Messages the Strong/Weak monitor admitted but has not yet delivered
-    /// to the module; drained into per-input runs by `flush_pending`.
-    pending: Vec<PendingDelivery>,
+    /// to the module, in admission order; `flush_pending` hands each
+    /// same-input run of it to the module as a sub-slice.
+    pending: Vec<Message>,
+    /// `(input, arrival tick)` of each `pending` entry.
+    pending_from: Vec<(usize, u64)>,
+    /// `flush_pending`'s scratch: `later[k]` is the lowest sync among
+    /// `pending[k..]`.
+    later: Vec<TimePoint>,
     out: OutputBuffer,
     stats: OpStats,
     last_cti: Option<TimePoint>,
@@ -322,11 +332,40 @@ pub struct OperatorShell {
     out_generations: IdMap<u64>,
 }
 
-/// An admitted message awaiting delivery to the operational module.
-struct PendingDelivery {
+/// A message the alignment buffer holds: ordered by `(sync, seq)` only,
+/// `seq` being unique per shell.
+struct Held {
+    sync: TimePoint,
+    seq: u64,
     input: usize,
     msg: Message,
     arrived: u64,
+}
+
+impl Held {
+    fn key(&self) -> (TimePoint, u64) {
+        (self.sync, self.seq)
+    }
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Held {}
+
+impl PartialOrd for Held {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Held {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl OperatorShell {
@@ -339,11 +378,13 @@ impl OperatorShell {
             input_watermarks: vec![TimePoint::ZERO; arity],
             watermark: TimePoint::ZERO,
             max_seen: TimePoint::ZERO,
-            align: BTreeMap::new(),
+            align: BinaryHeap::new(),
             seq: 0,
             seen_inserts: vec![Default::default(); arity],
             orphans: vec![Default::default(); arity],
             pending: Vec::new(),
+            pending_from: Vec::new(),
+            later: Vec::new(),
             out: OutputBuffer::new(),
             stats: OpStats::default(),
             last_cti: None,
@@ -460,19 +501,21 @@ impl OperatorShell {
         }
         self.max_seen = TimePoint::max_of(self.max_seen, sync);
         if self.spec.is_blocking() && sync >= self.watermark {
-            self.align
-                .insert((sync, self.seq), (input, data.clone(), now));
-            self.seq += 1;
-            self.stats.held_peak = self.stats.held_peak.max(self.align.len() as u64);
-        } else {
-            self.pending.push(PendingDelivery {
+            self.align.push(Reverse(Held {
+                sync,
+                seq: self.seq,
                 input,
                 msg: data.clone(),
                 arrived: now,
-            });
+            }));
+            self.seq += 1;
+            self.stats.held_peak = self.stats.held_peak.max(self.align.len() as u64);
+        } else {
+            self.pending.push(data.clone());
+            self.pending_from.push((input, now));
         }
         // A data arrival can advance `max_seen` past a finite blocking
-        // deadline (first loop iteration breaks when nothing is due).
+        // deadline (one peek when nothing is due).
         self.release();
     }
 
@@ -494,13 +537,15 @@ impl OperatorShell {
 
     /// Move alignment-buffer entries that are either covered by the
     /// watermark or have been blocked for the maximum blocking time into
-    /// the pending delivery buffer (in sync order).
-    #[allow(clippy::while_let_loop)] // while-let would hold the align borrow over the body
+    /// the pending delivery buffer, in `(sync, seq)` order.
+    ///
+    /// Both conditions are monotone in sync — a covered or timed-out entry
+    /// makes every entry with a lower sync so too — so what is due is
+    /// always the heap's top: release pops while the top is due and costs
+    /// one peek when nothing is, never a scan of what stays held.
     fn release(&mut self) {
-        loop {
-            let Some((&(sync, seq), _)) = self.align.iter().next() else {
-                break;
-            };
+        while let Some(Reverse(top)) = self.align.peek() {
+            let sync = top.sync;
             let covered = sync < self.watermark;
             let timed_out = !self.spec.max_blocking.is_infinite()
                 && self
@@ -510,57 +555,57 @@ impl OperatorShell {
             if !covered && !timed_out {
                 break;
             }
-            let (input, msg, arrived) = self.align.remove(&(sync, seq)).expect("present");
-            self.pending.push(PendingDelivery {
-                input,
-                msg,
-                arrived,
-            });
+            let Reverse(held) = self.align.pop().expect("peeked");
+            self.pending.push(held.msg);
+            self.pending_from.push((held.input, held.arrived));
         }
     }
 
     /// The watermark as the *module* may use it: every input message with
     /// `Sync` below this has been delivered to the module. While the
     /// alignment buffer still holds messages, the declared guarantee has
-    /// not yet been realised at the module boundary.
+    /// not yet been realised at the module boundary: it is capped by the
+    /// lowest held sync, the heap's top.
     fn effective_watermark(&self) -> TimePoint {
-        match self.align.keys().next() {
-            Some(&(sync, _)) => TimePoint::min_of(self.watermark, sync),
+        match self.align.peek() {
+            Some(Reverse(top)) => TimePoint::min_of(self.watermark, top.sync),
             None => self.watermark,
         }
     }
 
     /// Deliver the pending buffer (the Strong/Weak route) to the module:
     /// maximal runs of consecutive same-input entries, in admission order,
-    /// each through `deliver_run`.
+    /// each through `deliver_run` as a borrowed sub-slice of the buffer.
     fn flush_pending(&mut self, now: u64) {
         if self.pending.is_empty() {
             return;
         }
         let mut pending = std::mem::take(&mut self.pending);
-        // `later[k]`: the lowest sync among `pending[k..]`.
-        let mut later = vec![TimePoint::INFINITY; pending.len() + 1];
-        for (k, p) in pending.iter().enumerate().rev() {
-            later[k] = TimePoint::min_of(later[k + 1], p.msg.sync());
+        let mut from = std::mem::take(&mut self.pending_from);
+        let mut later = std::mem::take(&mut self.later);
+        later.clear();
+        later.resize(pending.len() + 1, TimePoint::INFINITY);
+        for (k, msg) in pending.iter().enumerate().rev() {
+            later[k] = TimePoint::min_of(later[k + 1], msg.sync());
         }
-        let mut run: Vec<Message> = Vec::new();
-        let mut run_input = pending[0].input;
-        for (k, p) in pending.drain(..).enumerate() {
-            if p.input != run_input {
-                self.deliver_run(run_input, &run, later[k]);
-                run.clear();
-                run_input = p.input;
-            }
-            let held = now.saturating_sub(p.arrived);
+        let mut start = 0;
+        for (k, &(input, arrived)) in from.iter().enumerate() {
+            let held = now.saturating_sub(arrived);
             self.stats.blocked_ticks += held;
             if held > 0 {
                 self.stats.blocked_messages += 1;
             }
-            run.push(p.msg);
+            if from.get(k + 1).is_none_or(|&(next, _)| next != input) {
+                self.deliver_run(input, &pending[start..=k], later[k + 1]);
+                start = k + 1;
+            }
         }
-        self.deliver_run(run_input, &run, TimePoint::INFINITY);
         self.prune_guard();
+        pending.clear();
+        from.clear();
         self.pending = pending;
+        self.pending_from = from;
+        self.later = later;
     }
 
     /// The one delivery routine: reorder guard, then `on_batch`.
@@ -579,10 +624,11 @@ impl OperatorShell {
     /// mid-run surface at the next `on_advance`, which follows every
     /// delivery.
     ///
-    /// The module is handed `msgs` itself — the producer's memory, no
-    /// copy — unless the guard edits the run: a retraction ahead of its
-    /// insert is parked, a parked one is replayed directly after its
-    /// insert. Only then is the run materialised.
+    /// The module is handed `msgs` itself — the producer's batch under
+    /// Middle, the pending buffer under Strong/Weak; no copy — unless the
+    /// guard edits the run: a retraction ahead of its insert is parked, a
+    /// parked one is replayed directly after its insert. Only then is the
+    /// run materialised.
     fn deliver_run(&mut self, input: usize, msgs: &[Message], later: TimePoint) {
         let mut watermark = TimePoint::min_of(self.effective_watermark(), later);
         let seen = &mut self.seen_inserts[input];
@@ -749,14 +795,17 @@ impl OperatorShell {
         self.input_watermarks.encode(out);
         self.watermark.encode(out);
         self.max_seen.encode(out);
-        // Alignment buffer: BTreeMap iteration is already sorted.
-        (self.align.len() as u64).encode(out);
-        for (&(sync, seq), &(input, ref msg, arrived)) in &self.align {
-            sync.encode(out);
-            seq.encode(out);
-            input.encode(out);
-            msg.encode(out);
-            arrived.encode(out);
+        // Alignment buffer in (sync, seq) order: the heap's storage order
+        // depends on its push history and must not reach the image.
+        let mut held: Vec<&Held> = self.align.iter().map(|Reverse(h)| h).collect();
+        held.sort_unstable();
+        (held.len() as u64).encode(out);
+        for h in held {
+            h.sync.encode(out);
+            h.seq.encode(out);
+            h.input.encode(out);
+            h.msg.encode(out);
+            h.arrived.encode(out);
         }
         self.seq.encode(out);
         for per_input in &self.seen_inserts {
@@ -812,12 +861,13 @@ impl OperatorShell {
         self.max_seen = TimePoint::decode(r)?;
         self.align.clear();
         for _ in 0..u64::decode(r)? {
-            let sync = TimePoint::decode(r)?;
-            let seq = u64::decode(r)?;
-            let input = usize::decode(r)?;
-            let msg = Message::decode(r)?;
-            let arrived = u64::decode(r)?;
-            self.align.insert((sync, seq), (input, msg, arrived));
+            self.align.push(Reverse(Held {
+                sync: TimePoint::decode(r)?,
+                seq: u64::decode(r)?,
+                input: usize::decode(r)?,
+                msg: Message::decode(r)?,
+                arrived: u64::decode(r)?,
+            }));
         }
         self.seq = u64::decode(r)?;
         for per_input in &mut self.seen_inserts {
@@ -954,6 +1004,120 @@ mod tests {
             .filter_map(|m| m.as_insert().map(|e| e.vs()))
             .collect();
         assert_eq!(released, vec![t(10)]);
+
+        // Across two inputs: the arrival at 16 times out exactly the syncs
+        // ≤ 11 — the prefix of (sync, arrival) order, ties in arrival
+        // order — and the release is cut into same-input runs.
+        let (mut s, runs) = probe_shell(spec);
+        s.push(0, ins(1, 10), 0);
+        s.push(1, ins(2, 11), 1);
+        s.push(0, ins(3, 12), 2);
+        s.push(1, ins(4, 10), 3);
+        assert!(runs.lock().unwrap().is_empty(), "all within B");
+        s.push(0, ins(5, 16), 4);
+        let seen = |runs: &Runs| -> Vec<(usize, Vec<(u64, TimePoint)>)> {
+            let runs = runs.lock().unwrap();
+            runs.iter().map(|r| (r.input, r.msgs.clone())).collect()
+        };
+        assert_eq!(
+            seen(&runs),
+            vec![(0, vec![(1, t(10))]), (1, vec![(4, t(10)), (2, t(11))])]
+        );
+        // One tick further releases the sync-12 entry and nothing else.
+        s.push(1, ins(6, 17), 5);
+        assert_eq!(seen(&runs).len(), 3);
+        assert_eq!(seen(&runs)[2], (0, vec![(3, t(12))]));
+        assert_eq!(s.stats().held_peak, 5, "the sync-16 arrival is held first");
+    }
+
+    #[test]
+    fn strong_releases_equal_syncs_across_inputs_in_arrival_order() {
+        let (mut s, runs) = probe_shell(ConsistencySpec::strong());
+        s.push(1, ins(1, 5), 0);
+        s.push(0, ins(2, 5), 1);
+        s.push(0, ins(3, 5), 2);
+        s.push(1, ins(4, 5), 3);
+        s.push(1, ins(5, 4), 4);
+        s.push(0, Message::Cti(t(10)), 5);
+        assert!(
+            runs.lock().unwrap().is_empty(),
+            "input 1 guarantees nothing"
+        );
+        s.push(1, Message::Cti(t(10)), 6);
+        let seen: Vec<(usize, Vec<u64>)> = runs
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| (r.input, r.msgs.iter().map(|&(id, _)| id).collect()))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![(1, vec![5, 1]), (0, vec![2, 3]), (1, vec![4])],
+            "sync 4 first, then the sync-5 ties as they arrived"
+        );
+    }
+
+    #[test]
+    fn a_shell_holding_messages_restores_and_resnapshots_to_identical_bytes() {
+        use cedr_durable::Persist;
+        for spec in [
+            ConsistencySpec::strong(),
+            ConsistencySpec::custom(dur(100), Duration::INFINITE),
+        ] {
+            let (mut live, live_runs) = probe_shell(spec);
+            // Syncs out of order, so the heap's storage order is not the
+            // (sync, seq) order an image must be written in.
+            for (k, sync) in [9, 3, 7, 1, 8, 2, 5, 3].into_iter().enumerate() {
+                live.push(k % 2, ins(k as u64 + 1, sync), k as u64);
+            }
+            live.push(0, Message::Cti(t(2)), 8);
+            live.push(1, Message::Cti(t(2)), 9);
+            assert_eq!(live_runs.lock().unwrap().len(), 1, "only sync 1 released");
+            let mut image = Vec::new();
+            live.state_snapshot(&mut image).unwrap();
+            // The held entries are written in (sync, seq) order.
+            let mut reader = cedr_durable::Reader::new(&image);
+            Vec::<TimePoint>::decode(&mut reader).unwrap();
+            TimePoint::decode(&mut reader).unwrap();
+            TimePoint::decode(&mut reader).unwrap();
+            let held: Vec<(TimePoint, u64)> = (0..u64::decode(&mut reader).unwrap())
+                .map(|_| {
+                    let key = (
+                        TimePoint::decode(&mut reader).unwrap(),
+                        u64::decode(&mut reader).unwrap(),
+                    );
+                    usize::decode(&mut reader).unwrap();
+                    Message::decode(&mut reader).unwrap();
+                    u64::decode(&mut reader).unwrap();
+                    key
+                })
+                .collect();
+            let syncs: Vec<u64> = held.iter().map(|&(sync, _)| sync.0).collect();
+            assert_eq!(syncs, [2, 3, 3, 5, 7, 8, 9], "{spec:?}");
+            assert!(held.is_sorted(), "{spec:?}: {held:?}");
+
+            let (mut restored, restored_runs) = probe_shell(spec);
+            let mut reader = cedr_durable::Reader::new(&image);
+            restored.state_restore(&mut reader).unwrap();
+            reader.expect_exhausted().unwrap();
+            let mut again = Vec::new();
+            restored.state_snapshot(&mut again).unwrap();
+            assert_eq!(again, image, "{spec:?}: restore → snapshot is the identity");
+
+            // And the restored shell releases what the live one does.
+            live_runs.lock().unwrap().clear();
+            for shell in [&mut live, &mut restored] {
+                shell.push(0, Message::Cti(t(8)), 10);
+                shell.push(1, Message::Cti(t(8)), 11);
+            }
+            // Runs as the module saw them, wherever the slices lived.
+            let strip = |runs: &Runs| -> Vec<Run> {
+                let runs = runs.lock().unwrap();
+                runs.iter().map(|r| Run { at: 0, ..r.clone() }).collect()
+            };
+            assert_eq!(strip(&restored_runs), strip(&live_runs), "{spec:?}");
+            assert_eq!(restored.stats(), live.stats(), "{spec:?}");
+        }
     }
 
     #[test]

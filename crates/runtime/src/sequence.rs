@@ -56,6 +56,7 @@ use cedr_temporal::{
 };
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 type SlotMap = BTreeMap<(TimePoint, EventId), Event>;
 
@@ -91,17 +92,29 @@ fn admit_retract(slot: &mut SlotMap, r: &Retraction) -> bool {
 /// Compose the output event for a Vs-ordered contributor tuple (the
 /// paper's SEQUENCE/ATLEAST output schema).
 fn compose(tuple: &[&Event], w: Duration) -> Event {
-    let ids: Vec<EventId> = tuple.iter().map(|e| e.id).collect();
+    let lineage: Lineage = tuple.iter().map(|e| e.id).collect();
     let first = tuple.first().expect("non-empty tuple");
     let last = tuple.last().expect("non-empty tuple");
     let rt = tuple.iter().map(|e| e.root_time).min().expect("non-empty");
     Event::composite(
-        idgen(&ids),
+        idgen(&lineage.0),
         Interval::new(last.vs(), first.vs() + w),
         rt,
-        Lineage::of(ids),
+        lineage,
         Payload::concat_all(tuple.iter().map(|e| &e.payload)),
     )
+}
+
+/// Pop a slot's prefix below `bound`, yielding the purged ids in `(Vs, id)`
+/// order: one descent to the front per entry.
+fn pop_below(slot: &mut SlotMap, bound: TimePoint) -> impl Iterator<Item = EventId> + '_ {
+    std::iter::from_fn(move || {
+        let (&(vs, _), _) = slot.first_key_value()?;
+        if vs >= bound {
+            return None;
+        }
+        slot.pop_first().map(|((_, id), _)| id)
+    })
 }
 
 fn slots_as_sets(slots: &[SlotMap]) -> Vec<EventSet> {
@@ -117,9 +130,9 @@ fn slots_as_sets(slots: &[SlotMap]) -> Vec<EventSet> {
 /// Emission order is deterministic — retractions in ascending output-ID
 /// order, then inserts in enumeration order — never hash-iteration order:
 /// operator output must be a pure function of delivered input.
-fn diff_emitted(emitted: &mut IdMap<Event>, desired: Vec<Event>, ctx: &mut OpContext) {
+fn diff_emitted(emitted: &mut IdMap<Arc<Event>>, desired: Vec<Event>, ctx: &mut OpContext) {
     let desired_ids: IdSet = desired.iter().map(|e| e.id).collect();
-    let mut stale: Vec<Event> = emitted
+    let mut stale: Vec<Arc<Event>> = emitted
         .iter()
         .filter(|(id, _)| !desired_ids.contains(id))
         .map(|(_, e)| e.clone())
@@ -128,13 +141,23 @@ fn diff_emitted(emitted: &mut IdMap<Event>, desired: Vec<Event>, ctx: &mut OpCon
     for e in stale {
         ctx.out.retract_full(e);
     }
-    // Clone only the freshly-inserted events; the rest move into the new
-    // emitted map untouched.
-    let mut next: IdMap<Event> = IdMap::with_capacity_and_hasher(desired.len(), Default::default());
+    // A still-desired output keeps its `Arc` when the recompute rebuilt
+    // it unchanged; only fresh events are allocated, and shared with the
+    // message that inserts them.
+    let mut next: IdMap<Arc<Event>> =
+        IdMap::with_capacity_and_hasher(desired.len(), Default::default());
     for e in desired {
-        if !emitted.contains_key(&e.id) && !next.contains_key(&e.id) {
-            ctx.out.insert(e.clone());
-        }
+        let e = match emitted.get(&e.id) {
+            Some(old) if **old == e => old.clone(),
+            Some(_) => Arc::new(e),
+            None => {
+                let e = Arc::new(e);
+                if !next.contains_key(&e.id) {
+                    ctx.out.insert(e.clone());
+                }
+                e
+            }
+        };
         next.insert(e.id, e);
     }
     *emitted = next;
@@ -147,7 +170,8 @@ pub struct SequenceOp {
     modes: Vec<ScMode>,
     restrictive: bool,
     slots: Vec<SlotMap>,
-    emitted: IdMap<Event>,
+    /// Emitted outputs, each shared with the message that inserted it.
+    emitted: IdMap<Arc<Event>>,
     by_contrib: IdMap<Vec<EventId>>,
 }
 
@@ -256,6 +280,7 @@ impl SequenceOp {
             for &c in out.lineage.0.iter() {
                 self.by_contrib.entry(c).or_default().push(out.id);
             }
+            let out = Arc::new(out);
             self.emitted.insert(out.id, out.clone());
             ctx.out.insert(out);
         }
@@ -320,14 +345,7 @@ impl OperatorModule for SequenceOp {
         }
         let mut purged: Vec<EventId> = Vec::new();
         for slot in &mut self.slots {
-            while let Some((&(vs, id), _)) = slot.iter().next() {
-                if vs < bound {
-                    slot.remove(&(vs, id));
-                    purged.push(id);
-                } else {
-                    break;
-                }
-            }
+            purged.extend(pop_below(slot, bound));
         }
         if purged.is_empty() {
             return;
@@ -419,9 +437,9 @@ fn decode_slots(
     Ok(())
 }
 
-fn encode_emitted(emitted: &IdMap<Event>, out: &mut Vec<u8>) {
+fn encode_emitted(emitted: &IdMap<Arc<Event>>, out: &mut Vec<u8>) {
     use cedr_durable::Persist;
-    let mut entries: Vec<(EventId, Event)> =
+    let mut entries: Vec<(EventId, Arc<Event>)> =
         emitted.iter().map(|(&id, e)| (id, e.clone())).collect();
     entries.sort_unstable_by_key(|&(id, _)| id);
     entries.encode(out);
@@ -429,9 +447,11 @@ fn encode_emitted(emitted: &IdMap<Event>, out: &mut Vec<u8>) {
 
 fn decode_emitted(
     r: &mut cedr_durable::Reader<'_>,
-) -> Result<IdMap<Event>, cedr_durable::CodecError> {
+) -> Result<IdMap<Arc<Event>>, cedr_durable::CodecError> {
     use cedr_durable::Persist;
-    Ok(Vec::<(EventId, Event)>::decode(r)?.into_iter().collect())
+    Ok(Vec::<(EventId, Arc<Event>)>::decode(r)?
+        .into_iter()
+        .collect())
 }
 
 /// Physical ATLEAST(n, E1, …, Ek, w); ALL and ANY desugar onto this.
@@ -445,7 +465,7 @@ pub struct AtLeastOp {
     pred: Pred,
     modes: Vec<ScMode>,
     slots: Vec<SlotMap>,
-    emitted: IdMap<Event>,
+    emitted: IdMap<Arc<Event>>,
 }
 
 impl AtLeastOp {
@@ -509,14 +529,7 @@ impl OperatorModule for AtLeastOp {
         }
         let mut purged = IdSet::default();
         for slot in &mut self.slots {
-            while let Some((&(vs, id), _)) = slot.iter().next() {
-                if vs < bound {
-                    slot.remove(&(vs, id));
-                    purged.insert(id);
-                } else {
-                    break;
-                }
-            }
+            purged.extend(pop_below(slot, bound));
         }
         if !purged.is_empty() {
             self.emitted

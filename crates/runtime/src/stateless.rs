@@ -71,7 +71,7 @@ impl ProjectOp {
     }
 
     fn transform(&self, e: &Event) -> Event {
-        let payload = Payload::from_values(self.exprs.iter().map(|x| x.eval_event(e)).collect());
+        let payload: Payload = self.exprs.iter().map(|x| x.eval_event(e)).collect();
         Event {
             id: e.id,
             interval: e.interval,

@@ -157,21 +157,25 @@ impl Payload {
     }
 
     /// Concatenation, as used by join and the sequencing operators
-    /// (`e1.p, e2.p, …, ek.p`).
+    /// (`e1.p, e2.p, …, ek.p`). One allocation.
     pub fn concat(&self, other: &Payload) -> Payload {
-        let mut v = Vec::with_capacity(self.len() + other.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Payload(Arc::from(v))
+        self.iter().chain(other.iter()).cloned().collect()
     }
 
-    /// Concatenate many payloads in contributor order.
-    pub fn concat_all<'a>(parts: impl IntoIterator<Item = &'a Payload>) -> Payload {
-        let mut v = Vec::new();
-        for p in parts {
-            v.extend_from_slice(&p.0);
-        }
-        Payload(Arc::from(v))
+    /// Concatenate many payloads in contributor order. One allocation: the
+    /// parts are walked twice, once to size the result.
+    pub fn concat_all<'a, I>(parts: I) -> Payload
+    where
+        I: IntoIterator<Item = &'a Payload>,
+        I::IntoIter: Clone,
+    {
+        let parts = parts.into_iter();
+        let len = parts.clone().map(Payload::len).sum();
+        let mut values = parts.flat_map(Payload::iter);
+        // A counted range keeps the exact length visible to `collect`.
+        (0..len)
+            .map(|_| values.next().expect("counted").clone())
+            .collect()
     }
 
     /// Iterate over the attribute values.
@@ -205,6 +209,15 @@ impl From<Vec<Value>> for Payload {
     }
 }
 
+/// Collects straight into the shared slice: one allocation when the
+/// iterator's length is exact (a slice, a chain of slices, an array, a
+/// counted range), instead of a `Vec` copied into an `Arc`.
+impl FromIterator<Value> for Payload {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Payload(values.into_iter().collect())
+    }
+}
+
 /// The contributor lineage `cbt[]`: an ordered sequence of references to the
 /// events that formed a composite event. Empty (`NULL` in the paper) for
 /// primitive events.
@@ -212,9 +225,10 @@ impl From<Vec<Value>> for Payload {
 pub struct Lineage(pub Arc<[EventId]>);
 
 impl Lineage {
-    /// Lineage of a primitive event.
+    /// Lineage of a primitive event: one empty lineage shared by all.
     pub fn primitive() -> Lineage {
-        Lineage(Arc::from(Vec::new()))
+        static EMPTY: OnceLock<Lineage> = OnceLock::new();
+        EMPTY.get_or_init(|| Lineage(Arc::from(Vec::new()))).clone()
     }
 
     /// Lineage `[e1, e2, …, ek]` of a composite event.
@@ -243,6 +257,13 @@ impl Lineage {
     /// Whether `id` contributed (directly) to this event.
     pub fn contains(&self, id: EventId) -> bool {
         self.0.contains(&id)
+    }
+}
+
+/// Collects straight into the shared slice; see `Payload`'s `FromIterator`.
+impl FromIterator<EventId> for Lineage {
+    fn from_iter<I: IntoIterator<Item = EventId>>(ids: I) -> Self {
+        Lineage(ids.into_iter().collect())
     }
 }
 

@@ -1,7 +1,7 @@
 //! One regeneration function per paper artifact. Each returns the rendered
 //! report; the `repro_all` binary prints all of them, or the named ones.
 
-use crate::{high_orderliness, low_orderliness, machine_catalog, machine_streams, run_cell};
+use crate::{high_orderliness, low_orderliness, machine_engine, machine_streams, run_cell};
 use cedr_algebra::expr::{CmpOp, Pred, Scalar};
 use cedr_algebra::pattern as pat;
 use cedr_runtime::{ConsistencySpec, OperatorShell};
@@ -12,8 +12,8 @@ use cedr_temporal::{
     UniTemporalTable,
 };
 use cedr_workload::machines::MachineWorkloadConfig;
-use cedr_workload::metrics::accuracy_f1;
 use cedr_workload::report::{classify, Table};
+use cedr_workload::{accuracy_f1, send_scrambled};
 use std::fmt::Write as _;
 
 fn pt_ev(id: u64, vs: u64) -> Event {
@@ -215,8 +215,6 @@ pub fn fig08() -> String {
         ("Middle", ConsistencySpec::middle()),
         ("Weak", ConsistencySpec::weak(crate::weak_memory())),
     ];
-    // Reference output for accuracy: strong on ordered input.
-    let reference = run_cell(ConsistencySpec::strong(), high_orderliness(3), &streams).sink_net;
 
     let mut table = Table::new(
         "measured",
@@ -241,34 +239,38 @@ pub fn fig08() -> String {
             "Output Size",
         ],
     );
-    // Yardsticks: Strong/High for blocking, Middle/High for state & output,
-    // mirroring the paper's own calibration points.
-    let strong_hi = run_cell(ConsistencySpec::strong(), high_orderliness(3), &streams);
-    let middle_hi = run_cell(ConsistencySpec::middle(), high_orderliness(3), &streams);
-    let unit_blocking = 1.0_f64.max(strong_hi.total.blocked_ticks as f64);
-    let unit_state = 1.0_f64.max(middle_hi.total.state_peak as f64);
-    let unit_output = 1.0_f64.max(middle_hi.output.data_messages as f64);
+    // Yardsticks: Strong/High for blocking (and the accuracy reference),
+    // Middle/High for state & output, mirroring the paper's own
+    // calibration points.
+    let (strong_hi, qs) = run_cell(ConsistencySpec::strong(), high_orderliness(3), &streams);
+    let (middle_hi, qm) = run_cell(ConsistencySpec::middle(), high_orderliness(3), &streams);
+    let reference = strong_hi.collector(qs).net_table();
+    let unit_blocking = 1.0_f64.max(strong_hi.stats(qs).blocked_ticks as f64);
+    let unit_state = 1.0_f64.max(middle_hi.stats(qm).state_peak as f64);
+    let unit_output = 1.0_f64.max(middle_hi.collector(qm).stats().data_messages as f64);
 
     for (sname, spec) in specs {
         for (oname, disorder) in [("High", high_orderliness(3)), ("Low", low_orderliness(3))] {
-            let r = run_cell(spec, disorder, &streams);
-            let f1 = accuracy_f1(&r.sink_net, &reference);
+            let (engine, q) = run_cell(spec, disorder, &streams);
+            let (total, sink) = (engine.stats(q), engine.collector(q));
+            let output = sink.stats();
+            let f1 = accuracy_f1(&sink.net_table(), &reference);
             table.row(vec![
                 sname.into(),
                 oname.into(),
-                r.total.blocked_ticks.to_string(),
-                r.total.state_peak.to_string(),
-                r.output.data_messages.to_string(),
-                r.output.retractions.to_string(),
-                r.total.forgotten.to_string(),
+                total.blocked_ticks.to_string(),
+                total.state_peak.to_string(),
+                output.data_messages.to_string(),
+                output.retractions.to_string(),
+                total.forgotten.to_string(),
                 format!("{f1:.3}"),
             ]);
             qual.row(vec![
                 sname.into(),
                 oname.into(),
-                classify(r.total.blocked_ticks as f64, unit_blocking).into(),
-                classify(r.total.state_peak as f64, unit_state).into(),
-                classify(r.output.data_messages as f64, unit_output).into(),
+                classify(total.blocked_ticks as f64, unit_blocking).into(),
+                classify(total.state_peak as f64, unit_state).into(),
+                classify(output.data_messages as f64, unit_output).into(),
             ]);
         }
     }
@@ -293,7 +295,7 @@ pub fn fig08() -> String {
 /// output grows with disorder, exactly as the paper's table reads.
 pub fn fig08b() -> String {
     use cedr_algebra::relational::AggFunc;
-    use cedr_lang::{lower, LogicalOp};
+    use cedr_lang::LogicalOp;
     let cfg = MachineWorkloadConfig {
         machines: 12,
         episodes: 25,
@@ -304,24 +306,29 @@ pub fn fig08b() -> String {
         "INSTALL".to_string(),
         cedr_workload::finance::to_stream(&trace.installs, Some(Duration::minutes(10))),
     )];
-    let make_plan = |spec: ConsistencySpec| {
-        let plan = LogicalOp::GroupAggregate {
-            input: Box::new(LogicalOp::AlterLifetime {
-                input: Box::new(LogicalOp::Source {
-                    event_type: "INSTALL".into(),
-                }),
-                fvs: cedr_algebra::alter_lifetime::VsFn::Vs,
-                fdelta: cedr_algebra::alter_lifetime::DeltaFn::Const(Duration::hours(1)),
+    let plan = || LogicalOp::GroupAggregate {
+        input: Box::new(LogicalOp::AlterLifetime {
+            input: Box::new(LogicalOp::Source {
+                event_type: "INSTALL".into(),
             }),
-            key: Vec::new(), // global count: cross-machine windows overlap
-            agg: AggFunc::Count,
-        };
-        lower(&plan, &machine_catalog(), spec).expect("lowers")
+            fvs: cedr_algebra::alter_lifetime::VsFn::Vs,
+            fdelta: cedr_algebra::alter_lifetime::DeltaFn::Const(Duration::hours(1)),
+        }),
+        key: Vec::new(), // global count: cross-machine windows overlap
+        agg: AggFunc::Count,
     };
     let run = |spec: ConsistencySpec, disorder| {
-        cedr_workload::metrics::run_experiment(make_plan(spec), &streams, &disorder)
+        let mut engine = machine_engine();
+        let q = engine
+            .register_plan("fig08b", plan(), spec)
+            .expect("registers");
+        send_scrambled(&mut engine, &streams, &disorder).expect("INSTALL is registered");
+        (engine, q)
     };
-    let reference = run(ConsistencySpec::strong(), high_orderliness(5)).sink_net;
+    let reference = {
+        let (engine, q) = run(ConsistencySpec::strong(), high_orderliness(5));
+        engine.collector(q).net_table()
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -348,15 +355,16 @@ pub fn fig08b() -> String {
         ("Weak", ConsistencySpec::weak(crate::weak_memory())),
     ] {
         for (oname, disorder) in [("High", high_orderliness(5)), ("Low", low_orderliness(5))] {
-            let r = run(spec, disorder);
-            let f1 = accuracy_f1(&r.sink_net, &reference);
+            let (engine, q) = run(spec, disorder);
+            let (total, sink) = (engine.stats(q), engine.collector(q));
+            let f1 = accuracy_f1(&sink.net_table(), &reference);
             table.row(vec![
                 sname.into(),
                 oname.into(),
-                r.total.blocked_ticks.to_string(),
-                r.total.state_peak.to_string(),
-                r.output.data_messages.to_string(),
-                r.output.retractions.to_string(),
+                total.blocked_ticks.to_string(),
+                total.state_peak.to_string(),
+                sink.stats().data_messages.to_string(),
+                sink.stats().retractions.to_string(),
                 format!("{f1:.3}"),
             ]);
         }
@@ -373,7 +381,10 @@ pub fn fig09() -> String {
         ..Default::default()
     };
     let (streams, _expected) = machine_streams(&cfg, Duration::minutes(10));
-    let reference = run_cell(ConsistencySpec::strong(), high_orderliness(9), &streams).sink_net;
+    let reference = {
+        let (engine, q) = run_cell(ConsistencySpec::strong(), high_orderliness(9), &streams);
+        engine.collector(q).net_table()
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -407,15 +418,16 @@ pub fn fig09() -> String {
                 continue; // the inert upper-left triangle
             }
             let spec = ConsistencySpec::custom(b, m);
-            let r = run_cell(spec, low_orderliness(9), &streams);
-            let f1 = accuracy_f1(&r.sink_net, &reference);
+            let (engine, q) = run_cell(spec, low_orderliness(9), &streams);
+            let total = engine.stats(q);
+            let f1 = accuracy_f1(&engine.collector(q).net_table(), &reference);
             table.row(vec![
                 m.to_string(),
                 b.to_string(),
-                r.total.blocked_ticks.to_string(),
-                r.total.state_peak.to_string(),
-                r.total.output_size().to_string(),
-                r.total.forgotten.to_string(),
+                total.blocked_ticks.to_string(),
+                total.state_peak.to_string(),
+                total.output_size().to_string(),
+                total.forgotten.to_string(),
                 format!("{f1:.3}"),
             ]);
         }
@@ -607,26 +619,26 @@ pub fn tab03() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "CIDR07_Example — full pipeline\n\nQuery text:");
     let _ = writeln!(out, "{}\n", cedr_lang::parser::CIDR07_EXAMPLE);
-    let cat = machine_catalog();
-    let q = cedr_lang::parse_query(cedr_lang::parser::CIDR07_EXAMPLE).unwrap();
-    let b = cedr_lang::bind(&q, &cat).unwrap();
-    let o = cedr_lang::optimize(b.root.clone());
-    let _ = writeln!(out, "Optimized logical plan (predicates injected):\n{o}");
-    // Run it.
     let cfg = MachineWorkloadConfig {
         machines: 6,
         episodes: 10,
         ..Default::default()
     };
     let (streams, expected) = machine_streams(&cfg, Duration::minutes(10));
-    let r = run_cell(ConsistencySpec::middle(), low_orderliness(4), &streams);
+    let (engine, q) = run_cell(ConsistencySpec::middle(), low_orderliness(4), &streams);
+    let _ = writeln!(
+        out,
+        "Optimized logical plan (predicates injected):\n{}",
+        engine.explain(q)
+    );
+    let sink = engine.collector(q);
+    let detected = sink.net_table().len();
     let _ = writeln!(
         out,
         "Run on {expected} ground-truth alerts (disordered delivery):\n  \
-         detected = {}, retractions emitted = {}, accuracy vs truth: exact = {}",
-        r.sink_net.len(),
-        r.output.retractions,
-        r.sink_net.len() == expected
+         detected = {detected}, retractions emitted = {}, accuracy vs truth: exact = {}",
+        sink.stats().retractions,
+        detected == expected
     );
     out
 }

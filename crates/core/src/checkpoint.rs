@@ -24,8 +24,9 @@
 //!   re-derived from the log on restore.
 //!
 //! The manifest carries the format version, the round number, a
-//! **configuration hash** (engine config + catalog + query registrations,
-//! so an image can never be restored into a differently shaped engine)
+//! **configuration hash** (engine config minus the drain worker count,
+//! catalog and query registrations, so an image can never be restored
+//! into a differently shaped engine, but restores at any worker count)
 //! and a seed-free FNV-1a **content checksum** over the section region.
 //!
 //! [`Engine::restore`] is **validate-everything-first**: framing,
@@ -129,14 +130,14 @@ fn decode_ingress_stats(r: &mut Reader<'_>) -> Result<IngressStats, CodecError> 
 
 impl Engine {
     /// Hash of everything that must match between the checkpointing and
-    /// the restoring engine: the execution configuration, the registered
+    /// the restoring engine: the execution configuration (except the
+    /// drain worker count, which no image depends on), the registered
     /// event types (name + arity) and the registered queries (name,
     /// consistency spec, optimized plan rendering) in
     /// registration order. Two engines built by the same registration
     /// sequence under the same config agree; anything else does not.
     fn config_hash(&self) -> u64 {
         let mut buf = Vec::new();
-        self.config.threads.encode(&mut buf);
         self.config.ingress_capacity.encode(&mut buf);
         self.config.channel_depth.encode(&mut buf);
         self.config.resequencer_capacity.encode(&mut buf);
@@ -300,7 +301,9 @@ impl Engine {
     /// this engine, which must have been prepared by the **same
     /// registration sequence** under the **same configuration** (same
     /// event types, same queries in the same order — checked via the
-    /// manifest's configuration hash).
+    /// manifest's configuration hash). The drain worker count
+    /// ([`EngineConfig::threads`](crate::EngineConfig::threads)) is free:
+    /// an image restores at any worker count.
     ///
     /// Validation is strictly before mutation: framing, checksums, the
     /// format version, the configuration hash and the full section

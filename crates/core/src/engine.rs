@@ -137,7 +137,7 @@ use cedr_lang::catalog::{Catalog, EventTypeDef, FieldType};
 use cedr_lang::{compile, lower, optimize, LangError, LogicalOp, LoweredPlan};
 use cedr_obs::{CheckpointCounters, ObsHub, TraceEvent};
 use cedr_runtime::{ConsistencySpec, OpStats};
-use cedr_streams::{Collector, Message, MessageBatch};
+use cedr_streams::{Collector, MessageBatch};
 use cedr_temporal::{Event, EventId, Interval, Payload, TimePoint, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -1005,19 +1005,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Immediate per-message delivery to pre-resolved subscribers (a
-    /// one-message round per subscriber). Ingestion order is preserved
-    /// across the APIs: staged ingress is drained first, so a direct send
-    /// (a CTI, say) can never overtake data that was enqueued before it.
-    pub(crate) fn send_resolved(&mut self, subs: &SubscriberList, msg: Message) {
-        if !self.ingress.is_empty() {
-            self.run_to_quiescence();
-        }
-        for &(q, port) in subs.iter() {
-            self.queries[q].plan.dataflow.push_source(port, msg.clone());
-        }
-    }
-
     /// Drain the staged ingress into the queries' dataflows and run them
     /// to quiescence — serially, or split across the configured drain
     /// workers ([`EngineConfig::threads`]). Each query always receives its
@@ -1241,6 +1228,7 @@ impl Default for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedr_streams::Message;
     use cedr_temporal::time::t;
 
     fn machine_engine() -> Engine {
@@ -1485,6 +1473,36 @@ mod tests {
         b.enqueue_batch("T", &batch).unwrap();
         b.source("T").unwrap().send(Message::Cti(t(100)));
         assert_eq!(a.collector(qa).delta_log(), b.collector(qb).delta_log());
+    }
+
+    #[test]
+    fn send_runs_a_counted_round_through_the_ingress() {
+        use crate::builder::PlanBuilder;
+        use cedr_algebra::expr::Pred;
+        const N: u64 = 5;
+        let mut e = Engine::with_config(EngineConfig::serial());
+        e.register_event_type("T", vec![("v", FieldType::Int)]);
+        e.register_event_type("U", vec![("v", FieldType::Int)]);
+        let plan = PlanBuilder::source("T").select(Pred::True).into_plan();
+        let q = e
+            .register_plan("q", plan, ConsistencySpec::middle())
+            .unwrap();
+        let (before, rounds) = (e.ingress_stats(), e.rounds_completed());
+        for i in 0..N {
+            let ev = e.event("T", i, vec![Value::Int(i as i64)]).unwrap();
+            e.source("T").unwrap().send(Message::insert_event(ev));
+        }
+        let after = e.ingress_stats();
+        assert_eq!(after.admitted_batches - before.admitted_batches, N);
+        assert_eq!(after.admitted_messages - before.admitted_messages, N);
+        assert_eq!(e.rounds_completed() - rounds, N, "one round per send");
+        assert_eq!(e.collector(q).stats().inserts, N as usize);
+        assert!(e.metrics().timings.ingest_to_delta.count() > 0);
+        // Nothing reads U: its send runs no round and admits nothing.
+        let ev = e.event("U", 9, vec![Value::Int(9)]).unwrap();
+        e.source("U").unwrap().send(Message::insert_event(ev));
+        assert_eq!(e.rounds_completed() - rounds, N);
+        assert_eq!(e.ingress_stats(), after);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! | staging | local batch, auto-flush at 512 | local batch, auto-flush at 512 |
 //! | flush target | the engine's bounded ingress queue ([`EngineConfig::ingress_capacity`](crate::EngineConfig::ingress_capacity)) | bounded mpsc channel ([`EngineConfig::channel_depth`](crate::EngineConfig::channel_depth)) |
 //! | backpressure | `flush` drains the engine; `try_flush` → [`EngineError::IngressFull`] (drain with `run_to_quiescence`) | `flush` blocks on the channel; `try_flush` → [`EngineError::IngressFull`] (drain with `pump`) |
-//! | per-message latency | [`send`](crate::SourceHandle::send) cascades immediately | none — batches run at the next pump round |
-//! | drains the engine | yes (flush under pressure, `sync`) | never — the pump does |
+//! | per-message latency | [`send`](crate::SourceHandle::send) runs a one-message ingress round before it returns | none — batches run at the next pump round |
+//! | drains the engine | yes (flush under pressure, `sync`, `send`) | never — the pump does |
 //! | end of stream | drop the handle | drop (disconnect) or [`ChannelSource::seal`] |
 //!
 //! Rule of thumb: one borrowed handle per burst on the engine thread;

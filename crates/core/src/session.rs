@@ -196,15 +196,25 @@ impl<'e> SourceHandle<'e> {
             .admit_resolved(&self.event_type, &mut self.staged, &self.subs, false)
     }
 
-    /// Deliver one message immediately — flush anything staged, then run
-    /// a one-message round in every subscribing dataflow
-    /// ([`Dataflow::push_source`](cedr_runtime::Dataflow::push_source)),
-    /// each to quiescence before this returns. This is the latency-first
-    /// mode; prefer staging + flush when the caller holds a run of
-    /// messages.
+    /// Deliver one message immediately as a one-message round through
+    /// the engine's ingress. Anything staged before it — through this
+    /// handle or any other — is flushed and drained first, in its own
+    /// round, so the message can never overtake earlier data; then the
+    /// message is staged and [`sync`](SourceHandle::sync)ed. The round is
+    /// counted like any other (ingress counters, round counter, latency
+    /// histograms, trace). A message nobody subscribes to runs no round.
+    /// This is the latency-first mode; prefer staging + flush when the
+    /// caller holds a run of messages.
     pub fn send(&mut self, msg: Message) {
         self.flush();
-        self.engine.send_resolved(&self.subs, msg);
+        if !self.engine.ingress.is_empty() {
+            self.engine.run_to_quiescence();
+        }
+        if self.subs.is_empty() {
+            return;
+        }
+        self.staged.push(msg);
+        self.sync();
     }
 
     /// Flush and run the engine to quiescence: everything staged through

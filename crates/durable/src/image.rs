@@ -24,7 +24,7 @@ use crate::codec::{fnv1a, CodecError, Persist, Reader};
 pub const MAGIC: [u8; 8] = *b"CEDRCKPT";
 
 /// Current image format version. Bump on any wire-layout change.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// The manifest header of a checkpoint image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -236,7 +236,9 @@ impl Dataflow {
     }
 
     /// Feed one message into external source `source`: a round of one,
-    /// cascaded through the graph to quiescence.
+    /// cascaded through the graph to quiescence. A convenience for tests
+    /// that drive a bare dataflow; the engine always enters through
+    /// [`Dataflow::run_round`].
     pub fn push_source(&mut self, source: usize, msg: Message) {
         self.tick += 1;
         self.sweep(&[(source, std::slice::from_ref(&msg))]);

@@ -17,16 +17,16 @@
 //!   blocking, repair churn, state peaks and accuracy from [`Engine::metrics`](cedr_core::engine::Engine::metrics).
 //!   The committed `docs/CONSISTENCY.md` is this harness's rendered
 //!   output (regenerate with the `scenario_matrix` binary in
-//!   `cedr-bench`).
+//!   `cedr-bench`). Beside it live the two pieces every other
+//!   measurement shares: [`send_scrambled`], which delivers disordered
+//!   streams to an engine one counted ingress round per message (the
+//!   driver behind `cedr-bench`'s Figures 8/9), and [`accuracy_f1`],
+//!   the net-table overlap score.
 //! * [`finance`] / [`machines`] — the paper's motivating domains
 //!   (Section 1's financial-services triple, Section 3.1's machine
 //!   monitoring) as seeded generators, used by the examples and the
 //!   paper-figure regeneration in `cedr-bench`.
-//! * [`metrics`] — the denotational harness behind the regenerated
-//!   Figures 8/9: it drives a lowered plan directly (no engine, no
-//!   sessions) and computes the original blocking/state/output/accuracy
-//!   observables. New measurement code should prefer [`matrix`].
-//! * [`report`] — ASCII/CSV/markdown table rendering and the Figure-8
+//! * [`report`] — ASCII/markdown table rendering and the Figure-8
 //!   qualitative classifier.
 //!
 //! Everything is seeded and deterministic: the same configuration always
@@ -36,13 +36,13 @@
 pub mod finance;
 pub mod machines;
 pub mod matrix;
-pub mod metrics;
 pub mod report;
 pub mod scenario;
 
 pub use finance::{MarketConfig, NewsConfig, PortfolioConfig};
 pub use machines::{MachineTrace, MachineWorkloadConfig};
-pub use matrix::{run_matrix, FamilyCell, LevelRun, MatrixReport, ScenarioResult};
-pub use metrics::{accuracy_f1, run_experiment, ExperimentResult};
+pub use matrix::{
+    accuracy_f1, run_matrix, send_scrambled, FamilyCell, LevelRun, MatrixReport, ScenarioResult,
+};
 pub use report::Table;
 pub use scenario::{gallery, ProducerScript, ScenarioConfig, ScenarioProfile, ScenarioTrace};

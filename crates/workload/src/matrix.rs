@@ -24,11 +24,12 @@
 //! fields is deterministic per seed, which is what lets CI regenerate
 //! `docs/CONSISTENCY.md` and diff it byte-for-byte.
 
-use crate::metrics::accuracy_f1;
 use crate::scenario::{ScenarioConfig, ScenarioProfile, ScenarioTrace, SCENARIO_TYPES};
 use cedr_core::prelude::*;
 use cedr_lang::LogicalOp;
+use cedr_streams::merge_scramble;
 use cedr_temporal::UniTemporalTable;
+use std::collections::HashMap;
 
 /// The consistency levels of the matrix. Weak gets a horizon of
 /// `span / 6` ticks — tight enough to bite (forget live state) on every
@@ -126,16 +127,8 @@ pub struct LegRun {
 /// round-`r` emission (silent rounds flush nothing), pump twice per
 /// round recording stalls, then disconnect, drain and seal. The driving
 /// schedule is a pure function of the trace, so every leg sees the same
-/// canonical `(round, producer)` admission order. The two trailing flags
-/// are ignored (there is one stateless path); they keep the pinned
-/// callers in `tests/` unchanged.
-pub fn drive_leg(
-    trace: &ScenarioTrace,
-    spec: ConsistencySpec,
-    threads: usize,
-    _fuse: bool,
-    _compile: bool,
-) -> LegRun {
+/// canonical `(round, producer)` admission order.
+pub fn drive_leg(trace: &ScenarioTrace, spec: ConsistencySpec, threads: usize) -> LegRun {
     let depth = (trace.config.producers * 4).max(64);
     let mut engine = Engine::with_config(EngineConfig::threaded(threads).with_channel_depth(depth));
     let queries = register_families(&mut engine, spec, trace.config.span);
@@ -210,6 +203,52 @@ pub fn assert_legs_identical(label: &str, a: &LegRun, b: &LegRun) -> usize {
         checks += 1;
     }
     checks
+}
+
+/// Scramble `streams` (event type, sync-ordered messages) onto one
+/// delivery timeline with [`merge_scramble`], labelling each stream by
+/// its position, and [`send`](SourceHandle::send) every message to its
+/// type in delivery order — one counted ingress round per message.
+///
+/// Errors: [`EngineError::UnknownEventType`] for an unregistered type,
+/// [`EngineError::Sealed`] on a sealed engine.
+pub fn send_scrambled(
+    engine: &mut Engine,
+    streams: &[(String, Vec<Message>)],
+    disorder: &DisorderConfig,
+) -> Result<(), EngineError> {
+    let routed: Vec<(usize, &[Message])> = streams
+        .iter()
+        .enumerate()
+        .map(|(i, (_, msgs))| (i, msgs.as_slice()))
+        .collect();
+    for (slot, m) in merge_scramble(&routed, disorder) {
+        engine.source(&streams[slot].0)?.send(m);
+    }
+    Ok(())
+}
+
+/// Symmetric F1 overlap of two net tables on `(interval, payload)` rows.
+pub fn accuracy_f1(a: &UniTemporalTable, b: &UniTemporalTable) -> f64 {
+    let key = |t: &UniTemporalTable| {
+        let mut m: HashMap<(Interval, Payload), usize> = HashMap::new();
+        for r in &t.without_empty().rows {
+            *m.entry((r.interval, r.payload.clone())).or_insert(0) += 1;
+        }
+        m
+    };
+    let ma = key(a);
+    let mb = key(b);
+    let inter: usize = ma
+        .iter()
+        .map(|(k, ca)| mb.get(k).map_or(0, |cb| (*ca).min(*cb)))
+        .sum();
+    let na: usize = ma.values().sum();
+    let nb: usize = mb.values().sum();
+    if na + nb == 0 {
+        return 1.0;
+    }
+    2.0 * inter as f64 / (na + nb) as f64
 }
 
 /// Deterministic observables for one (scenario, level, family) cell,
@@ -287,10 +326,10 @@ pub fn run_matrix(seed: u64, configs: &[ScenarioConfig]) -> MatrixReport {
         let mut strong_nets: Vec<UniTemporalTable> = Vec::new();
         for (level, spec) in levels(cfg.span) {
             let (canon_label, canon_threads) = LEGS[0];
-            let canonical = drive_leg(&trace, spec, canon_threads, true, true);
+            let canonical = drive_leg(&trace, spec, canon_threads);
             let mut checks = 0usize;
             for (leg_label, threads) in LEGS.iter().skip(1) {
-                let other = drive_leg(&trace, spec, *threads, true, true);
+                let other = drive_leg(&trace, spec, *threads);
                 checks += assert_legs_identical(
                     &format!("{}/{level}/{canon_label} vs {leg_label}", cfg.name),
                     &canonical,
@@ -410,6 +449,104 @@ mod tests {
     use super::*;
     use crate::scenario::Silence;
 
+    /// `SEQUENCE(A, B, 50)` standing at `spec`, fed [`streams`] under
+    /// `disorder` through the engine's ingress.
+    fn run_seq(spec: ConsistencySpec, disorder: &DisorderConfig) -> (Engine, QueryId) {
+        let mut engine = Engine::new();
+        for ty in ["A", "B"] {
+            engine.register_event_type(ty, vec![("v", FieldType::Int)]);
+        }
+        let plan = LogicalOp::Sequence {
+            inputs: vec![
+                LogicalOp::Source {
+                    event_type: "A".into(),
+                },
+                LogicalOp::Source {
+                    event_type: "B".into(),
+                },
+            ],
+            w: dur(50),
+            pred: Pred::True,
+            modes: vec![ScMode::EACH_REUSE; 2],
+        };
+        let q = engine.register_plan("seq", plan, spec).unwrap();
+        send_scrambled(&mut engine, &streams(), disorder).unwrap();
+        (engine, q)
+    }
+
+    fn streams() -> Vec<(String, Vec<Message>)> {
+        let mk = |base: u64, n: u64, gap: u64| {
+            let mut b = StreamBuilder::with_id_base(base);
+            for i in 0..n {
+                b.insert_at(
+                    TimePoint::new(i * gap + base % 7),
+                    Payload::from_values(vec![Value::Int(i as i64)]),
+                );
+            }
+            b.build_ordered(Some(Duration(20)), true)
+        };
+        vec![
+            ("A".to_string(), mk(0, 50, 13)),
+            ("B".to_string(), mk(10_000, 50, 17)),
+        ]
+    }
+
+    #[test]
+    fn strong_and_middle_agree_on_net_content() {
+        let disorder = DisorderConfig::heavy(99, 120, 10);
+        let (strong, qs) = run_seq(ConsistencySpec::strong(), &disorder);
+        let (middle, qm) = run_seq(ConsistencySpec::middle(), &disorder);
+        assert!(
+            (accuracy_f1(
+                &strong.collector(qs).net_table(),
+                &middle.collector(qm).net_table()
+            ) - 1.0)
+                .abs()
+                < 1e-9,
+            "strong and middle must converge to the same net output"
+        );
+        // And the trade-off shape: strong blocks, middle retracts.
+        assert!(strong.stats(qs).blocked_ticks > 0);
+        assert_eq!(middle.stats(qm).blocked_ticks, 0);
+    }
+
+    #[test]
+    fn ordered_delivery_blocks_far_less_than_disordered() {
+        // The Figure-8 shape on the strong row: blocking scales with
+        // disorder. (Some blocking remains even when ordered: a binary
+        // operator waits for the *other* input's guarantee.)
+        let (ordered, qo) = run_seq(ConsistencySpec::strong(), &DisorderConfig::ordered(1));
+        let (disordered, qd) = run_seq(
+            ConsistencySpec::strong(),
+            &DisorderConfig::heavy(1, 300, 25),
+        );
+        let (ordered, disordered) = (ordered.stats(qo), disordered.stats(qd));
+        assert!(
+            disordered.mean_blocking() > 2.0 * ordered.mean_blocking(),
+            "disordered {} vs ordered {}",
+            disordered.mean_blocking(),
+            ordered.mean_blocking()
+        );
+    }
+
+    #[test]
+    fn f1_accuracy_measures_overlap() {
+        let row = |a: u64, b: u64, v: i64| {
+            UniTemporalRow::new(
+                EventId(a * 1000 + b),
+                Interval::new(TimePoint::new(a), TimePoint::new(b)),
+                Payload::from_values(vec![Value::Int(v)]),
+            )
+        };
+        let t1: UniTemporalTable = vec![row(0, 5, 1), row(5, 9, 2)].into_iter().collect();
+        let t2: UniTemporalTable = vec![row(0, 5, 1)].into_iter().collect();
+        assert!((accuracy_f1(&t1, &t1) - 1.0).abs() < 1e-9);
+        let f1 = accuracy_f1(&t1, &t2);
+        assert!((f1 - (2.0 / 3.0)).abs() < 1e-9);
+        let empty = UniTemporalTable::new();
+        assert_eq!(accuracy_f1(&empty, &empty), 1.0);
+    }
+
     /// A small scenario so the debug-profile test stays quick.
     fn small(name: &str) -> ScenarioConfig {
         ScenarioConfig {
@@ -462,7 +599,7 @@ mod tests {
             events_per_producer: 24,
             ..ScenarioConfig::tame("quiet", 0xAB)
         };
-        let run = drive_leg(&cfg.generate(), ConsistencySpec::middle(), 1, true, true);
+        let run = drive_leg(&cfg.generate(), ConsistencySpec::middle(), 1);
         assert!(
             run.stall_rounds_peak > 0,
             "expected the pump to report stalled rounds"

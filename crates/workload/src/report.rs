@@ -1,5 +1,5 @@
-//! Report formatting: aligned ASCII tables (console), CSV (plotting)
-//! and GitHub-flavoured markdown (the committed `docs/CONSISTENCY.md`),
+//! Report formatting: aligned ASCII tables (console) and
+//! GitHub-flavoured markdown (the committed `docs/CONSISTENCY.md`),
 //! plus the qualitative classification used to compare measured cells
 //! against Figure 8's High/Low/Minimal/None vocabulary.
 
@@ -80,35 +80,6 @@ impl Table {
         }
         out
     }
-
-    /// CSV rendering (for downstream plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// Qualitative classification against a scale, mirroring Figure 8's
@@ -154,15 +125,6 @@ mod tests {
         assert!(md.starts_with("**spectrum**\n\n| level | blocking |\n"));
         assert!(md.contains("| --- | --- |"));
         assert!(md.ends_with("| Strong | 42 |\n"));
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("", &["x,y", "b"]);
-        t.row(vec!["say \"hi\"".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use cedr::core::prelude::*;
 use cedr::streams::merge_scramble;
+use cedr::workload::accuracy_f1;
 use cedr::workload::machines::{self, MachineWorkloadConfig};
-use cedr::workload::metrics::accuracy_f1;
 
 const QUERY: &str = "\
 EVENT CIDR07_Example

@@ -9,41 +9,47 @@
 use cedr::core::prelude::*;
 use cedr::streams::merge_scramble;
 use cedr::workload::machines::{self, MachineWorkloadConfig};
-use cedr::workload::metrics::{accuracy_f1, run_experiment};
-use cedr_bench_shim::*;
+use cedr::workload::{accuracy_f1, send_scrambled};
 
-/// Local reimplementation of the bench harness (the umbrella crate does not
-/// depend on cedr-bench).
-mod cedr_bench_shim {
-    use super::*;
+const QUERY: &str = "\
+    EVENT CIDR07 \
+    WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours), RESTART z, 5 minutes) \
+    WHERE CorrelationKey(Machine_Id, EQUAL)";
 
-    pub const QUERY: &str = "\
-        EVENT CIDR07 \
-        WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN y, 12 hours), RESTART z, 5 minutes) \
-        WHERE CorrelationKey(Machine_Id, EQUAL)";
-
-    pub fn plan(spec: ConsistencySpec) -> cedr::lang::LoweredPlan {
-        let mut cat = Catalog::new();
-        for ty in ["INSTALL", "SHUTDOWN", "RESTART"] {
-            cat.register_type(ty, vec![("Machine_Id", FieldType::Str)]);
-        }
-        let q = cedr::lang::parse_query(QUERY).unwrap();
-        let b = cedr::lang::bind(&q, &cat).unwrap();
-        cedr::lang::lower(&cedr::lang::optimize(b.root), &cat, spec).unwrap()
+/// An engine with the machine types registered and [`QUERY`] standing
+/// at `spec`.
+fn machine_engine(spec: ConsistencySpec) -> (Engine, QueryId) {
+    let mut engine = Engine::new();
+    for ty in ["INSTALL", "SHUTDOWN", "RESTART"] {
+        engine.register_event_type(ty, vec![("Machine_Id", FieldType::Str)]);
     }
+    let q = engine.register_query(QUERY, spec).unwrap();
+    (engine, q)
+}
 
-    pub fn workload() -> (Vec<(String, Vec<Message>)>, usize) {
-        let cfg = MachineWorkloadConfig {
-            machines: 6,
-            episodes: 12,
-            ..Default::default()
-        };
-        let trace = machines::generate(&cfg);
-        (
-            trace.to_streams(Some(Duration::minutes(10))),
-            trace.expected_alerts,
-        )
-    }
+/// [`QUERY`] at `spec`, fed `streams` under `disorder` through the
+/// engine's ingress.
+fn run(
+    spec: ConsistencySpec,
+    streams: &[(String, Vec<Message>)],
+    disorder: &DisorderConfig,
+) -> (Engine, QueryId) {
+    let (mut engine, q) = machine_engine(spec);
+    send_scrambled(&mut engine, streams, disorder).unwrap();
+    (engine, q)
+}
+
+fn workload() -> (Vec<(String, Vec<Message>)>, usize) {
+    let cfg = MachineWorkloadConfig {
+        machines: 6,
+        episodes: 12,
+        ..Default::default()
+    };
+    let trace = machines::generate(&cfg);
+    (
+        trace.to_streams(Some(Duration::minutes(10))),
+        trace.expected_alerts,
+    )
 }
 
 fn disordered(seed: u64) -> DisorderConfig {
@@ -53,20 +59,24 @@ fn disordered(seed: u64) -> DisorderConfig {
 #[test]
 fn strong_matches_ground_truth_without_repairs() {
     let (streams, expected) = workload();
-    let r = run_experiment(plan(ConsistencySpec::strong()), &streams, &disordered(1));
-    assert_eq!(r.sink_net.len(), expected);
-    assert_eq!(r.output.retractions, 0, "strong never repairs");
-    assert!(r.total.blocked_ticks > 0, "strong pays in blocking");
+    let (e, q) = run(ConsistencySpec::strong(), &streams, &disordered(1));
+    assert_eq!(e.collector(q).net_table().len(), expected);
+    assert_eq!(
+        e.collector(q).stats().retractions,
+        0,
+        "strong never repairs"
+    );
+    assert!(e.stats(q).blocked_ticks > 0, "strong pays in blocking");
 }
 
 #[test]
 fn middle_matches_ground_truth_with_repairs_and_no_blocking() {
     let (streams, expected) = workload();
-    let r = run_experiment(plan(ConsistencySpec::middle()), &streams, &disordered(1));
-    assert_eq!(r.sink_net.len(), expected);
-    assert_eq!(r.total.blocked_ticks, 0, "middle never blocks");
+    let (e, q) = run(ConsistencySpec::middle(), &streams, &disordered(1));
+    assert_eq!(e.collector(q).net_table().len(), expected);
+    assert_eq!(e.stats(q).blocked_ticks, 0, "middle never blocks");
     assert!(
-        r.output.retractions > 0,
+        e.collector(q).stats().retractions > 0,
         "optimism under disorder must be repaired"
     );
 }
@@ -77,11 +87,12 @@ fn strong_and_middle_are_logically_equivalent_across_seeds() {
     // logically equivalent outputs — here strong and middle on different
     // delivery orders of the same logical stream.
     let (streams, _) = workload();
-    let strong = run_experiment(plan(ConsistencySpec::strong()), &streams, &disordered(7));
+    let (strong, qs) = run(ConsistencySpec::strong(), &streams, &disordered(7));
+    let strong_net = strong.collector(qs).net_table();
     for seed in [11u64, 23, 37] {
-        let middle = run_experiment(plan(ConsistencySpec::middle()), &streams, &disordered(seed));
+        let (middle, qm) = run(ConsistencySpec::middle(), &streams, &disordered(seed));
         assert!(
-            (accuracy_f1(&strong.sink_net, &middle.sink_net) - 1.0).abs() < 1e-12,
+            (accuracy_f1(&strong_net, &middle.collector(qm).net_table()) - 1.0).abs() < 1e-12,
             "seed {seed}: outputs diverged"
         );
     }
@@ -92,12 +103,14 @@ fn weak_trades_accuracy_for_state_monotonically_in_m() {
     // Figure 9 along the M axis (B = 0): more memory, more accuracy, more
     // state.
     let (streams, _) = workload();
-    let reference = run_experiment(
-        plan(ConsistencySpec::strong()),
-        &streams,
-        &DisorderConfig::ordered(1),
-    )
-    .sink_net;
+    let reference = {
+        let (e, q) = run(
+            ConsistencySpec::strong(),
+            &streams,
+            &DisorderConfig::ordered(1),
+        );
+        e.collector(q).net_table()
+    };
     let mut prev_acc = -1.0f64;
     let mut accs = Vec::new();
     for m in [
@@ -106,8 +119,8 @@ fn weak_trades_accuracy_for_state_monotonically_in_m() {
         Duration::INFINITE,
     ] {
         let spec = ConsistencySpec::weak(m);
-        let r = run_experiment(plan(spec), &streams, &disordered(3));
-        let acc = accuracy_f1(&r.sink_net, &reference);
+        let (e, q) = run(spec, &streams, &disordered(3));
+        let acc = accuracy_f1(&e.collector(q).net_table(), &reference);
         accs.push((m, acc));
         assert!(
             acc >= prev_acc - 0.05,
@@ -132,10 +145,10 @@ fn blocking_grows_along_b_and_corners_bound_output() {
     let mut retractions = Vec::new();
     for b in [Duration::ZERO, Duration::hours(6), Duration::INFINITE] {
         let spec = ConsistencySpec::custom(b, Duration::INFINITE);
-        let r = run_experiment(plan(spec), &streams, &disordered(3));
-        blocked.push(r.total.blocked_ticks);
-        outputs.push(r.output.data_messages);
-        retractions.push(r.output.retractions);
+        let (e, q) = run(spec, &streams, &disordered(3));
+        blocked.push(e.stats(q).blocked_ticks);
+        outputs.push(e.collector(q).stats().data_messages);
+        retractions.push(e.collector(q).stats().retractions);
     }
     assert!(
         blocked[0] <= blocked[1] && blocked[1] <= blocked[2],
@@ -179,22 +192,19 @@ fn consistency_switching_at_a_sync_point_is_seamless() {
     // instance that also gets the prefix (its state must reflect history —
     // the engine replays state below the switch point, which at a sync
     // point equals the canonical history).
-    let mut strong_half = plan(ConsistencySpec::strong());
-    for (src, m) in merged[..cut].iter().cloned() {
-        strong_half.dataflow.push_source(src, m);
+    let (mut strong_half, qs) = machine_engine(ConsistencySpec::strong());
+    for (slot, m) in merged[..cut].iter().cloned() {
+        strong_half.source(&streams[slot].0).unwrap().send(m);
     }
-    for src in 0..3 {
-        strong_half
-            .dataflow
-            .push_source(src, Message::Cti(TimePoint::INFINITY));
-    }
-    let prefix_net = strong_half.dataflow.collector(strong_half.sink).net_table();
+    strong_half.seal();
+    let prefix_net = strong_half.collector(qs).net_table();
 
-    let mut middle_full = plan(ConsistencySpec::middle());
-    for (src, m) in merged.iter().cloned() {
-        middle_full.dataflow.push_source(src, m);
-    }
-    let full_net = middle_full.dataflow.collector(middle_full.sink).net_table();
+    let (middle_full, qm) = run(
+        ConsistencySpec::middle(),
+        &streams,
+        &DisorderConfig::ordered(5),
+    );
+    let full_net = middle_full.collector(qm).net_table();
 
     // Every alert the strong prefix settled must appear identically in the
     // all-middle run (the switch preserves the past)…
@@ -213,13 +223,7 @@ fn consistency_switching_at_a_sync_point_is_seamless() {
 fn per_query_consistency_is_independent() {
     // Two queries over the same input at different levels (the Section 1
     // motivation): each sees its own trade-off.
-    let mut engine = Engine::new();
-    for ty in ["INSTALL", "SHUTDOWN", "RESTART"] {
-        engine.register_event_type(ty, vec![("Machine_Id", FieldType::Str)]);
-    }
-    let q_strong = engine
-        .register_query(QUERY, ConsistencySpec::strong())
-        .unwrap();
+    let (mut engine, q_strong) = machine_engine(ConsistencySpec::strong());
     let q_middle = engine
         .register_query(QUERY, ConsistencySpec::middle())
         .unwrap();
@@ -230,14 +234,7 @@ fn per_query_consistency_is_independent() {
     };
     let trace = machines::generate(&cfg);
     let streams = trace.to_streams(Some(Duration::minutes(10)));
-    let routed: Vec<(usize, &[Message])> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, (_, m))| (i, m.as_slice()))
-        .collect();
-    for (slot, m) in merge_scramble(&routed, &DisorderConfig::heavy(9, 86_400, 30)) {
-        engine.source(&streams[slot].0).unwrap().send(m);
-    }
+    send_scrambled(&mut engine, &streams, &DisorderConfig::heavy(9, 86_400, 30)).unwrap();
     assert_eq!(
         engine.collector(q_strong).net_table().len(),
         trace.expected_alerts

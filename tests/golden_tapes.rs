@@ -53,7 +53,7 @@ fn delta_logs_match_the_tapes_captured_before_the_operator_rewrite() {
         }
         let trace = cfg.generate();
         for (level, spec) in levels(cfg.span) {
-            let run = drive_leg(&trace, spec, 1, true, true);
+            let run = drive_leg(&trace, spec, 1);
             let mut prints = [0u64; 5];
             for (slot, (_, q)) in prints.iter_mut().zip(&run.queries) {
                 let log = run.engine.collector(*q).delta_log();

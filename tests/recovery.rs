@@ -132,24 +132,25 @@ fn run_straight(
     (engine, qs)
 }
 
-/// The failed-and-recovered run: `kill_at` rounds, checkpoint, drop the
-/// engine (the crash), restore into a fresh identically-registered one,
-/// replay the remaining rounds, seal.
+/// The failed-and-recovered run: `kill_at` rounds on `writer` drain
+/// workers, checkpoint, drop the engine (the crash), restore into a fresh
+/// identically-registered one on `reader` workers, replay the remaining
+/// rounds, seal.
 fn run_recovered(
     spec: ConsistencySpec,
     scripts: &[(&'static str, Vec<MessageBatch>)],
-    threads: usize,
+    (writer, reader): (usize, usize),
     kill_at: usize,
 ) -> (Engine, Vec<QueryId>) {
     let image = {
-        let (mut engine, _) = fresh_engine(spec, threads);
+        let (mut engine, _) = fresh_engine(spec, writer);
         for r in 0..kill_at {
             stage_round(&mut engine, scripts, r);
         }
         engine.checkpoint_to_vec().unwrap()
         // `engine` dropped here: the crash.
     };
-    let (mut engine, qs) = fresh_engine(spec, threads);
+    let (mut engine, qs) = fresh_engine(spec, reader);
     engine.restore_from_slice(&image).unwrap();
     assert_eq!(
         engine.rounds_completed(),
@@ -209,15 +210,21 @@ fn recovered_runs_are_bit_identical_to_unfailed_runs() {
             let total = total_rounds(scripts.as_slice());
             for threads in [1usize, 4] {
                 let straight = run_straight(spec, &scripts, threads);
+                // An image restores at its own worker count and at the
+                // other one: worker count is not part of an image.
+                let other = 5 - threads;
                 for kill_at in [1, total / 2, total - 1] {
-                    let recovered = run_recovered(spec, &scripts, threads, kill_at);
-                    assert_bit_identical(
-                        &format!(
-                            "{level}/seed {seed:#x}/{threads} workers/killed after round {kill_at}"
-                        ),
-                        &straight,
-                        &recovered,
-                    );
+                    for writer in [threads, other] {
+                        let recovered = run_recovered(spec, &scripts, (writer, threads), kill_at);
+                        assert_bit_identical(
+                            &format!(
+                                "{level}/seed {seed:#x}/{writer}→{threads} workers/\
+                                 killed after round {kill_at}"
+                            ),
+                            &straight,
+                            &recovered,
+                        );
+                    }
                 }
             }
         }

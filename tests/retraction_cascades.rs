@@ -6,7 +6,7 @@
 use cedr::algebra::expr::{CmpOp, Pred, Scalar};
 use cedr::algebra::relational::AggFunc;
 use cedr::core::prelude::*;
-use cedr::streams::merge_scramble;
+use cedr::workload::send_scrambled;
 
 fn engine2() -> Engine {
     let mut e = Engine::new();
@@ -152,14 +152,7 @@ fn cascades_are_delivery_order_insensitive() {
         let q = e
             .register_plan("cascade", plan(), ConsistencySpec::middle())
             .unwrap();
-        let routed: Vec<(usize, &[Message])> = streams
-            .iter()
-            .enumerate()
-            .map(|(i, (_, m))| (i, m.as_slice()))
-            .collect();
-        for (slot, m) in merge_scramble(&routed, &DisorderConfig::heavy(seed, 70, 8)) {
-            e.source(&streams[slot].0).unwrap().send(m);
-        }
+        send_scrambled(&mut e, &streams, &DisorderConfig::heavy(seed, 70, 8)).unwrap();
         let got = e.collector(q).net_table();
         assert!(
             got.star_equal(&want),

@@ -71,7 +71,7 @@ fn producer_silence_is_observed_as_pump_stalls() {
         events_per_producer: 24,
         ..ScenarioConfig::tame("quiet", 0xAB)
     };
-    let run = drive_leg(&cfg.generate(), ConsistencySpec::middle(), 1, true, true);
+    let run = drive_leg(&cfg.generate(), ConsistencySpec::middle(), 1);
     assert!(run.stall_rounds_peak > 0, "no stall observed");
     assert!(!run.waited_on.is_empty(), "waiting_on never reported");
     let snap = run.engine.metrics();

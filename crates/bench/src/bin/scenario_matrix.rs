@@ -78,9 +78,13 @@ fn render(report: &MatrixReport) -> String {
         out,
         "The paper's central claim is a *spectrum* of consistency guarantees: \
          **Strong** blocks output until input-time guarantees (CTIs) arrive and \
-         never revises what it emitted; **Middle** emits speculatively and \
-         repairs through retractions; **Weak** bounds operator memory with a \
-         forgetting horizon and pays for it in accuracy. This report measures \
+         should never revise what it emitted - every family keeps that except \
+         the group aggregate, whose Strong rows below still show repairs: its \
+         refresh retracts whole emitted segments below the output CTI it \
+         already promised (the output-CTI break, ROADMAP item 2); **Middle** \
+         emits speculatively and repairs through retractions; **Weak** bounds \
+         operator memory with a forgetting horizon and pays for it in \
+         accuracy. This report measures \
          that trade-off instead of asserting it: seed `{:#x}` drives \
          {} adversarial scenarios x {{Strong, Middle, Weak}} x 5 operator \
          families through the engine's concurrent ingestion surface \

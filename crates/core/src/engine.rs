@@ -12,21 +12,16 @@
 //! continuously and consumers observe a consistent, repairing output
 //! stream. Both directions are **sessions**:
 //!
-//! * **Ingestion** — [`Engine::source`] opens a typed
-//!   [`SourceHandle`] on one input stream. The
-//!   handle resolves the event type and its subscribers **once**,
-//!   offers typed `insert`/`retract`/`cti` builders, stages a local
-//!   [`MessageBatch`], and flushes it against the engine's **bounded
-//!   ingress queue** ([`EngineConfig::ingress_capacity`]). The blocking
-//!   [`flush`](crate::SourceHandle::flush) drains the engine when the
-//!   ingress is full; [`try_flush`](crate::SourceHandle::try_flush)
-//!   surfaces [`EngineError::IngressFull`] instead — real backpressure,
-//!   never unbounded growth.
-//! * **Concurrent ingestion** — [`Engine::channel_source`] opens a
-//!   [`ChannelSource`]: the same typed staging surface as a
-//!   `SourceHandle`, but `Send + Clone` with **no engine borrow**, so
-//!   provider threads feed a bounded mpsc ingress while the engine
-//!   thread interleaves channel drains with quiescence passes via
+//! * **Ingestion** — [`Engine::source`] and [`Engine::channel_source`]
+//!   open a typed [`Source`] on one input stream: it resolves the event
+//!   type and its subscribers **once**, offers typed
+//!   `insert`/`retract`/`cti` builders, stages a local [`MessageBatch`]
+//!   and flushes it against a bounded target — real backpressure, never
+//!   unbounded growth. A [`SourceHandle`] borrows the engine and flushes
+//!   into its ingress queue ([`EngineConfig::ingress_capacity`]); a
+//!   [`ChannelSource`] is `Send + Clone` with **no engine borrow**, so
+//!   provider threads feed a bounded mpsc ingress while the engine thread
+//!   interleaves channel drains with quiescence passes via
 //!   [`Engine::pump`] / [`Engine::run_pipelined`]. See the
 //!   [`crate::ingest`] module docs for the **"which handle do I want?"**
 //!   table and the order-insensitivity guarantee (multi-producer runs
@@ -131,8 +126,8 @@
 //! drain-worker sweeps, operator runs, backpressure hits,
 //! resequencer stalls, checkpoint/restore, seal — oldest first.
 
-use crate::ingest::{ChannelIngress, ChannelSource, IngressStats};
-use crate::session::{SourceHandle, Subscription};
+use crate::ingest::{ChannelIngress, ChannelSource, ChannelTarget, IngressStats};
+use crate::session::{EngineTarget, Source, SourceHandle, Subscription};
 use cedr_lang::catalog::{Catalog, EventTypeDef, FieldType};
 use cedr_lang::{compile, lower, optimize, LangError, LogicalOp, LoweredPlan};
 use cedr_obs::{CheckpointCounters, ObsHub, TraceEvent};
@@ -167,6 +162,13 @@ pub enum EngineError {
         event_type: String,
         expected: usize,
         got: usize,
+    },
+    /// A builder was asked for a point event starting at `vs ==
+    /// u64::MAX`: that tick is reserved for `∞`
+    /// ([`TimePoint::INFINITY`]), so no finite event can start there.
+    TimeOutOfRange {
+        event_type: String,
+        vs: u64,
     },
     /// A bounded ingress has no room for the batch being staged. Returned
     /// only by the `try_*` admission paths
@@ -250,6 +252,11 @@ impl fmt::Display for EngineError {
             } => write!(
                 f,
                 "payload arity mismatch for {event_type}: expected {expected}, got {got}"
+            ),
+            EngineError::TimeOutOfRange { event_type, vs } => write!(
+                f,
+                "start time {vs} for '{event_type}' is out of range: u64::MAX is reserved \
+                 for ∞"
             ),
             EngineError::IngressFull {
                 event_type,
@@ -475,9 +482,7 @@ impl EngineConfig {
             channel_depth: parse("CEDR_CHANNEL_DEPTH").unwrap_or(DEFAULT_CHANNEL_DEPTH),
             resequencer_capacity: parse("CEDR_RESEQ_CAPACITY")
                 .unwrap_or(DEFAULT_RESEQUENCER_CAPACITY),
-            fuse: false,
-            compile_kernels: false,
-            trace_capacity: trace_capacity_from_env(),
+            ..EngineConfig::serial()
         }
     }
 }
@@ -509,6 +514,19 @@ pub(crate) fn validate_arity(
         });
     }
     Ok(())
+}
+
+/// The point interval `[vs, vs+1)` behind every `insert`/`event` builder,
+/// or [`EngineError::TimeOutOfRange`] when `vs` is the tick reserved for
+/// `∞`.
+pub(crate) fn point_interval(event_type: &str, vs: u64) -> Result<Interval, EngineError> {
+    if vs == TimePoint::INFINITY.0 {
+        return Err(EngineError::TimeOutOfRange {
+            event_type: event_type.to_string(),
+            vs,
+        });
+    }
+    Ok(Interval::point(TimePoint::new(vs)))
 }
 
 /// Channel-pump accounting that must outlive the [`ChannelIngress`]
@@ -655,19 +673,12 @@ impl Engine {
         spec: ConsistencySpec,
     ) -> Result<QueryId, EngineError> {
         let compiled = compile(text, &self.catalog, spec)?;
-        self.queries.push(RunningQuery {
+        Ok(self.install(RunningQuery {
             name: compiled.name,
             plan: compiled.plan,
             spec,
             explain: compiled.explain,
-        });
-        let q = self.queries.len() - 1;
-        self.index_query(q);
-        self.queries[q]
-            .plan
-            .dataflow
-            .set_obs(Arc::clone(&self.obs), q as u16);
-        Ok(QueryId(q))
+        }))
     }
 
     /// Register a programmatic plan (see [`crate::builder::PlanBuilder`]).
@@ -679,30 +690,37 @@ impl Engine {
     ) -> Result<QueryId, EngineError> {
         let optimized = optimize(root);
         let plan = lower(&optimized, &self.catalog, spec)?;
-        let explain = optimized.to_string();
-        self.queries.push(RunningQuery {
+        Ok(self.install(RunningQuery {
             name: name.to_string(),
             plan,
             spec,
-            explain,
-        });
+            explain: optimized.to_string(),
+        }))
+    }
+
+    /// The install tail both registrations share: append the query, route
+    /// its sources to it and attach the observability hub.
+    fn install(&mut self, query: RunningQuery) -> QueryId {
+        self.queries.push(query);
         let q = self.queries.len() - 1;
         self.index_query(q);
         self.queries[q]
             .plan
             .dataflow
             .set_obs(Arc::clone(&self.obs), q as u16);
-        Ok(QueryId(q))
+        QueryId(q)
     }
 
-    /// Mint a point event `[vs, vs+1)` of a registered type with a fresh ID.
+    /// Mint a point event `[vs, vs+1)` of a registered type with a fresh
+    /// ID. `vs == u64::MAX` is [`EngineError::TimeOutOfRange`]: that tick
+    /// is `∞`.
     pub fn event(
         &mut self,
         event_type: &str,
         vs: u64,
         payload: Vec<Value>,
     ) -> Result<Event, EngineError> {
-        self.event_with_interval(event_type, Interval::point(TimePoint::new(vs)), payload)
+        self.event_with_interval(event_type, point_interval(event_type, vs)?, payload)
     }
 
     /// Mint an event with an explicit validity interval.
@@ -717,10 +735,8 @@ impl Engine {
             Err(_) => return Err(self.unknown_type(event_type)),
         };
         validate_arity(event_type, def.fields.len(), payload.len())?;
-        let id = EventId(self.next_event_id);
-        self.next_event_id += 1;
         Ok(Event::primitive(
-            id,
+            self.mint_id(),
             interval,
             Payload::from_values(payload),
         ))
@@ -730,34 +746,24 @@ impl Engine {
     // Sessioned ingestion: typed handles over a bounded ingress
     // ------------------------------------------------------------------
 
-    /// Open a typed ingestion session on the named input stream.
+    /// Open a typed ingestion session on the named input stream that
+    /// borrows the engine: a [`SourceHandle`] flushing into the bounded
+    /// engine ingress ([`EngineConfig::ingress_capacity`]).
     ///
     /// Resolution happens **once**: the handle captures the event type's
     /// payload schema and its `(query, port)` subscriber list, so staging
     /// and flushing never repeat the string-keyed lookups per message.
-    /// The handle stages a local [`MessageBatch`] via its typed
-    /// [`insert`](SourceHandle::insert) / [`retract`](SourceHandle::retract)
-    /// / [`cti`](SourceHandle::cti) builders and flushes it against the
-    /// bounded engine ingress ([`EngineConfig::ingress_capacity`]) —
-    /// blocking-style via [`flush`](SourceHandle::flush) (drains the
-    /// engine when full) or with real backpressure via
-    /// [`try_flush`](SourceHandle::try_flush), which surfaces
-    /// [`EngineError::IngressFull`].
-    ///
-    /// The handle borrows the engine exclusively, so the routing it
-    /// resolved cannot go stale and the engine cannot be sealed while a
-    /// session is open. Errors: [`EngineError::UnknownEventType`],
-    /// [`EngineError::Sealed`].
+    /// The borrow is exclusive, so the routing it resolved cannot go stale
+    /// and the engine cannot be sealed while a session is open. Errors:
+    /// [`EngineError::UnknownEventType`], [`EngineError::Sealed`].
     pub fn source(&mut self, event_type: &str) -> Result<SourceHandle<'_>, EngineError> {
-        if self.sealed {
-            return Err(EngineError::Sealed);
-        }
-        let arity = match self.catalog.lookup(event_type) {
-            Ok(def) => def.fields.len(),
-            Err(_) => return Err(self.unknown_type(event_type)),
-        };
-        let subs = self.resolve_subs(event_type);
-        Ok(SourceHandle::new(self, event_type.to_string(), arity, subs))
+        let (arity, subs) = self.resolve(event_type)?;
+        Ok(Source::open(
+            EngineTarget { engine: self },
+            event_type,
+            arity,
+            subs,
+        ))
     }
 
     /// Open a **concurrent** typed ingestion session on the named input
@@ -777,14 +783,7 @@ impl Engine {
     ///
     /// Errors: [`EngineError::UnknownEventType`], [`EngineError::Sealed`].
     pub fn channel_source(&mut self, event_type: &str) -> Result<ChannelSource, EngineError> {
-        if self.sealed {
-            return Err(EngineError::Sealed);
-        }
-        let arity = match self.catalog.lookup(event_type) {
-            Ok(def) => def.fields.len(),
-            Err(_) => return Err(self.unknown_type(event_type)),
-        };
-        let subs = self.resolve_subs(event_type);
+        let (arity, subs) = self.resolve(event_type)?;
         let depth = self.config.channel_depth;
         self.channel_acct.seen = true;
         let ch = self
@@ -802,18 +801,8 @@ impl Engine {
                 (key, 0)
             }
         };
-        let (tx, board, depth) = (ch.tx.clone(), Arc::clone(&ch.board), ch.depth);
-        Ok(ChannelSource::new(
-            Arc::from(event_type),
-            arity,
-            subs,
-            tx,
-            key,
-            board,
-            depth,
-            emitted,
-            Arc::clone(&self.obs),
-        ))
+        let target = ChannelTarget::new(ch, key, emitted, Arc::clone(&self.obs));
+        Ok(Source::open(target, event_type, arity, subs))
     }
 
     /// Engine-wide ingress counters: what was staged onto and admitted
@@ -907,14 +896,21 @@ impl Engine {
         batch: &MessageBatch,
         block: bool,
     ) -> Result<(), EngineError> {
+        let (_, subs) = self.resolve(event_type)?;
+        self.admit_resolved(event_type, &mut batch.clone(), &subs, block)
+    }
+
+    /// The open-time resolution every ingestion entry point shares: the
+    /// sealed check, then the event type's payload arity and its
+    /// subscriber list.
+    fn resolve(&self, event_type: &str) -> Result<(usize, SubscriberList), EngineError> {
         if self.sealed {
             return Err(EngineError::Sealed);
         }
-        if !self.catalog.contains(event_type) {
-            return Err(self.unknown_type(event_type));
+        match self.catalog.lookup(event_type) {
+            Ok(def) => Ok((def.fields.len(), self.resolve_subs(event_type))),
+            Err(_) => Err(self.unknown_type(event_type)),
         }
-        let subs = self.resolve_subs(event_type);
-        self.admit_resolved(event_type, &mut batch.clone(), &subs, block)
     }
 
     /// An [`EngineError::UnknownEventType`] naming every registered type.
@@ -931,21 +927,18 @@ impl Engine {
     }
 
     /// Resolve the subscriber list of an event type (empty when no query
-    /// consumes it) — the lookup a [`SourceHandle`] performs once at open
+    /// consumes it) — the lookup every [`Source`] performs once at open
     /// time. Cloning a list is an `Arc` refcount bump.
     pub(crate) fn resolve_subs(&self, event_type: &str) -> SubscriberList {
         self.routing.get(event_type).cloned().unwrap_or_default()
     }
 
-    /// Mint a fresh-ID primitive event (the handle builders' allocator).
-    pub(crate) fn mint_event(&mut self, interval: Interval, payload: Vec<Value>) -> Arc<Event> {
+    /// Allocate a fresh engine-minted event ID ([`Engine::event`] and the
+    /// [`SourceHandle`] builders share this counter).
+    pub(crate) fn mint_id(&mut self) -> EventId {
         let id = EventId(self.next_event_id);
         self.next_event_id += 1;
-        Arc::new(Event::primitive(
-            id,
-            interval,
-            Payload::from_values(payload),
-        ))
+        id
     }
 
     /// Move `batch` onto the ingress queue for its (pre-resolved)

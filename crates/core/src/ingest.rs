@@ -1,34 +1,39 @@
 //! Concurrent ingestion: `Send + Clone` channel sources feeding a
 //! pump-driven engine.
 //!
-//! [`SourceHandle`](crate::SourceHandle) borrows the
-//! engine, which pins every provider to the drain thread. This module is
-//! the escape: [`Engine::channel_source`](crate::Engine::channel_source)
-//! returns a [`ChannelSource`] — a **`Send + Clone` handle with no engine
-//! borrow** that carries its pre-resolved `(query, port)` routing (the
+//! A [`SourceHandle`](crate::SourceHandle) borrows the engine, which pins
+//! every provider to the drain thread. This module is the escape:
+//! [`Engine::channel_source`](crate::Engine::channel_source) returns a
+//! [`ChannelSource`] — the same [`Source`] staging front end on a
+//! [`ChannelTarget`], a **`Send + Clone` handle with no engine borrow**
+//! that carries its pre-resolved `(query, port)` routing (the
 //! `Arc`-shared copy-on-write subscriber slice of the routing table) and
-//! feeds a **bounded mpsc ingress**. Provider threads stage typed events
-//! exactly like a borrowed handle and flush whole batches across the
-//! thread boundary (events stay `Arc`-shared — a hand-off is refcount
-//! bumps, never payload copies), while the engine thread interleaves
-//! channel drains with quiescence passes via
+//! feeds a **bounded mpsc ingress**. Provider threads flush whole batches
+//! across the thread boundary (events stay `Arc`-shared — a hand-off is
+//! refcount bumps, never payload copies), while the engine thread
+//! interleaves channel drains with quiescence passes via
 //! [`Engine::pump`](crate::Engine::pump) /
 //! [`Engine::run_pipelined`](crate::Engine::run_pipelined).
 //!
 //! # Which handle do I want?
 //!
-//! | | [`SourceHandle`](crate::SourceHandle) (borrowed) | [`ChannelSource`] (channel) |
+//! Both handles are one type, [`Source`]: builders, accessors, auto-flush
+//! (at [`DEFAULT_AUTOFLUSH`](crate::DEFAULT_AUTOFLUSH) = 512), `flush` /
+//! `try_flush`, `into_inner` and the panic-safe drop-flush are shared.
+//! The target decides the rest:
+//!
+//! | | [`SourceHandle`](crate::SourceHandle) = `Source<EngineTarget>` | [`ChannelSource`] = `Source<ChannelTarget>` |
 //! |---|---|---|
 //! | obtained from | [`Engine::source`](crate::Engine::source) | [`Engine::channel_source`](crate::Engine::channel_source) |
 //! | engine borrow | exclusive, for the session's lifetime | **none** — `Send + Clone`, free-threaded |
 //! | threads | provider == drain thread | providers on any threads, engine pumps |
 //! | routing | resolved once, cannot go stale (borrow) | resolved once, snapshot at open/clone time |
-//! | staging | local batch, auto-flush at 512 | local batch, auto-flush at 512 |
+//! | minted IDs | the engine's counter | the producer's slice, `key << 44 \| n` |
 //! | flush target | the engine's bounded ingress queue ([`EngineConfig::ingress_capacity`](crate::EngineConfig::ingress_capacity)) | bounded mpsc channel ([`EngineConfig::channel_depth`](crate::EngineConfig::channel_depth)) |
 //! | backpressure | `flush` drains the engine; `try_flush` → [`EngineError::IngressFull`] (drain with `run_to_quiescence`) | `flush` blocks on the channel; `try_flush` → [`EngineError::IngressFull`] (drain with `pump`) |
 //! | per-message latency | [`send`](crate::SourceHandle::send) runs a one-message ingress round before it returns | none — batches run at the next pump round |
 //! | drains the engine | yes (flush under pressure, `sync`, `send`) | never — the pump does |
-//! | end of stream | drop the handle | drop (disconnect) or [`ChannelSource::seal`] |
+//! | end of stream | drop the handle | drop (the last clone disconnects) or [`ChannelSource::seal`] |
 //!
 //! Rule of thumb: one borrowed handle per burst on the engine thread;
 //! one channel source per provider *thread*. Clones of a channel source
@@ -81,9 +86,10 @@
 //! ```
 
 use crate::engine::{Engine, EngineError, SubscriberList};
+use crate::session::{Source, Target};
 use cedr_obs::{ObsHub, TraceEvent};
-use cedr_streams::{Message, MessageBatch, Resequencer, Retraction};
-use cedr_temporal::{Event, EventId, Interval, Payload, TimePoint, Value};
+use cedr_streams::{MessageBatch, Resequencer};
+use cedr_temporal::{EventId, TimePoint};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -248,43 +254,16 @@ pub struct PumpProgress {
 /// counts straight into the `cedr-obs` snapshot type.
 pub use cedr_obs::IngressCounters as IngressStats;
 
-/// A `Send + Clone` ingestion handle on one named input stream, with no
-/// engine borrow.
+/// The channel target: a sender onto the engine's bounded mpsc ingress
+/// plus the producer origin (key, emission counter, ID allocator) shared
+/// by every clone.
 ///
-/// Obtained from [`Engine::channel_source`](crate::Engine::channel_source).
-/// The handle owns an `Arc`-shared snapshot of the event type's resolved
-/// `(query, port)` routing and a sender onto the engine's bounded mpsc
-/// ingress, so it can move to any thread and outlive every engine borrow.
-/// Messages accumulate in a local staging batch through the same typed
-/// builders as the borrowed [`SourceHandle`](crate::SourceHandle) and
-/// cross the thread boundary on [`flush`](ChannelSource::flush)
-/// (automatic every [`DEFAULT_AUTOFLUSH`](crate::DEFAULT_AUTOFLUSH)
-/// staged messages, on drop, or manual). Flushed batches run when the
-/// engine thread pumps ([`Engine::pump`](crate::Engine::pump) /
-/// [`Engine::run_pipelined`](crate::Engine::run_pipelined)).
-///
-/// **Routing snapshot**: queries registered *after* the handle was opened
-/// do not see its traffic (the copy-on-write routing table keeps the
-/// handle's snapshot alive); open sources after registering queries.
-///
-/// **Shutdown**: dropping the handle flushes the staged batch and — once
-/// the last clone is gone — disconnects the producer, letting
-/// [`Engine::run_pipelined`](crate::Engine::run_pipelined) retire its
-/// lane and return. [`ChannelSource::seal`] additionally stages `CTI(∞)`
-/// first ("this stream is complete"). During a panic unwind the staged
-/// batch is abandoned rather than risked against a full channel, but the
-/// disconnect is still posted (through a side channel that never blocks),
-/// so a crashing provider cannot hang the pump.
-pub struct ChannelSource {
-    event_type: Arc<str>,
-    /// Payload arity of the event type, resolved at open time.
-    arity: usize,
-    /// Resolved `(query, port)` subscribers snapshot.
-    subs: SubscriberList,
+/// Cloning bumps the producer's live-handle count; dropping the last clone
+/// posts the disconnect (through a side channel that never blocks, so a
+/// crashing provider cannot hang the pump).
+pub struct ChannelTarget {
     tx: SyncSender<IngressBatch>,
     core: Arc<ProducerCore>,
-    staged: MessageBatch,
-    autoflush: usize,
     /// Channel capacity in batches (for backpressure error reports).
     depth: usize,
     /// Engine observability hub: channel-block timing + backpressure
@@ -292,166 +271,35 @@ pub struct ChannelSource {
     obs: Arc<ObsHub>,
 }
 
-impl ChannelSource {
+impl ChannelTarget {
     /// `emitted` is the starting emission cursor: 0 for a fresh producer,
     /// or the restored lane cursor when reattaching after
     /// [`Engine::restore`](crate::Engine::restore) (the next flush gets
     /// the seq the resequencer lane expects). The event-ID allocator
     /// always starts at 0 — a resumed producer replaying a tape should
-    /// stage pre-minted events ([`ChannelSource::insert_event`] /
-    /// [`ChannelSource::stage_batch`]) rather than re-minting.
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor; one call site
-    pub(crate) fn new(
-        event_type: Arc<str>,
-        arity: usize,
-        subs: SubscriberList,
-        tx: SyncSender<IngressBatch>,
-        key: u64,
-        board: Arc<DisconnectBoard>,
-        depth: usize,
-        emitted: u64,
-        obs: Arc<ObsHub>,
-    ) -> Self {
+    /// stage pre-minted events ([`Source::insert_event`] /
+    /// [`Source::stage_batch`]) rather than re-minting.
+    pub(crate) fn new(ch: &ChannelIngress, key: u64, emitted: u64, obs: Arc<ObsHub>) -> Self {
         debug_assert!(key < (1 << (64 - CHANNEL_ID_SHIFT)), "key space exhausted");
-        ChannelSource {
-            event_type,
-            arity,
-            subs,
-            tx,
+        ChannelTarget {
+            tx: ch.tx.clone(),
             core: Arc::new(ProducerCore {
                 key,
                 emitted: Mutex::new(emitted),
                 minted: AtomicU64::new(0),
                 live: AtomicU64::new(1),
-                board,
+                board: Arc::clone(&ch.board),
             }),
-            staged: MessageBatch::new(),
-            autoflush: crate::session::DEFAULT_AUTOFLUSH,
-            depth,
+            depth: ch.depth,
             obs,
         }
     }
+}
 
-    /// The event type this source feeds.
-    pub fn event_type(&self) -> &str {
-        &self.event_type
-    }
-
-    /// The origin key stamped on every emission of this producer (shared
-    /// by clones). Keys are assigned in
-    /// [`channel_source`](crate::Engine::channel_source) call order.
-    pub fn producer_key(&self) -> u64 {
-        self.core.key
-    }
-
-    /// Number of `(query, port)` subscribers in the routing snapshot.
-    pub fn subscriber_count(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// Messages currently staged locally (not yet flushed).
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Auto-flush after `n` staged messages (clamped to at least 1).
-    pub fn with_autoflush(mut self, n: usize) -> Self {
-        self.autoflush = n.max(1);
-        self
-    }
-
-    /// Disable auto-flush: the batch grows until an explicit flush, seal
-    /// or drop.
-    pub fn manual_flush(mut self) -> Self {
-        self.autoflush = usize::MAX;
-        self
-    }
-
-    /// Mint and stage a point event `[vs, vs+1)` with a fresh ID,
-    /// validating the payload against the resolved schema. Returns the
-    /// shared event so the provider can retract it later.
-    ///
-    /// IDs are drawn from the producer's own slice of the ID space
-    /// (`key << 44 | n`), so concurrent providers can never collide and a
-    /// given provider mints the same IDs on every run.
-    pub fn insert(&mut self, vs: u64, fields: Vec<Value>) -> Result<Arc<Event>, EngineError> {
-        self.insert_for(Interval::point(TimePoint::new(vs)), fields)
-    }
-
-    /// Mint and stage an event with an explicit validity interval.
-    pub fn insert_for(
-        &mut self,
-        interval: Interval,
-        fields: Vec<Value>,
-    ) -> Result<Arc<Event>, EngineError> {
-        crate::engine::validate_arity(&self.event_type, self.arity, fields.len())?;
+impl Target for ChannelTarget {
+    fn mint(&mut self) -> EventId {
         let n = self.core.minted.fetch_add(1, Ordering::Relaxed);
-        let id = EventId((self.core.key << CHANNEL_ID_SHIFT) | n);
-        let event = Arc::new(Event::primitive(id, interval, Payload::from_values(fields)));
-        self.stage(Message::Insert(event.clone()));
-        Ok(event)
-    }
-
-    /// Stage a pre-minted event (e.g. from a workload generator),
-    /// validating its payload arity against the resolved schema.
-    pub fn insert_event(&mut self, event: impl Into<Arc<Event>>) -> Result<(), EngineError> {
-        let event = event.into();
-        crate::engine::validate_arity(&self.event_type, self.arity, event.payload.len())?;
-        self.stage(Message::Insert(event));
-        Ok(())
-    }
-
-    /// Stage a retraction shortening `event`'s lifetime to `[Vs, new_end)`
-    /// (`new_end == Vs` removes it entirely).
-    pub fn retract(&mut self, event: impl Into<Arc<Event>>, new_end: TimePoint) {
-        self.stage(Message::Retract(Retraction::new(event, new_end)));
-    }
-
-    /// Stage a current-time increment: a promise that every future
-    /// message on this stream has `Sync >= t`.
-    pub fn cti(&mut self, t: TimePoint) {
-        self.stage(Message::Cti(t));
-    }
-
-    /// Stage a raw physical message (tape replays, disorder harnesses).
-    /// No schema validation is applied.
-    pub fn stage(&mut self, msg: Message) {
-        self.staged.push(msg);
-        if self.staged.len() >= self.autoflush {
-            self.flush();
-        }
-    }
-
-    /// Stage a whole batch (`Arc`-shared clones — payloads are never
-    /// copied). The auto-flush bound holds mid-batch.
-    pub fn stage_batch(&mut self, batch: &MessageBatch) {
-        for m in batch {
-            self.staged.push(m.clone());
-            if self.staged.len() >= self.autoflush {
-                self.flush();
-            }
-        }
-    }
-
-    /// Emit the staged batch onto the bounded channel, **blocking** while
-    /// the channel is full (backpressure: the engine thread must pump).
-    /// An empty staging batch is a no-op. If the engine no longer exists
-    /// (its receiver was dropped), the batch is discarded — there is
-    /// nothing left to feed.
-    pub fn flush(&mut self) {
-        let _ = self.emit(true);
-    }
-
-    /// [`flush`](ChannelSource::flush) with backpressure surfaced: if the
-    /// bounded channel is full, nothing moves, the batch stays staged,
-    /// and [`EngineError::IngressFull`]
-    /// is returned (capacities counted in *emissions* — the channel
-    /// bounds batches, not messages). The caller decides whether to retry,
-    /// shed load, or block; only the engine thread's
-    /// [`Engine::pump`](crate::Engine::pump) /
-    /// [`Engine::run_pipelined`](crate::Engine::run_pipelined) make room.
-    pub fn try_flush(&mut self) -> Result<(), EngineError> {
-        self.emit(false)
+        EventId((self.core.key << CHANNEL_ID_SHIFT) | n)
     }
 
     /// Reserve the next emission seq under the `emitted` lock and send.
@@ -465,18 +313,24 @@ impl ChannelSource {
     /// seq is safe: the reserving handle is live until its send
     /// completes, so the disconnect (posted by the *last* handle) can
     /// never announce a seq that will not arrive.
-    fn emit(&mut self, block: bool) -> Result<(), EngineError> {
-        if self.staged.is_empty() {
+    fn admit(
+        &mut self,
+        event_type: &Arc<str>,
+        subs: &SubscriberList,
+        staged: &mut MessageBatch,
+        block: bool,
+    ) -> Result<(), EngineError> {
+        if staged.is_empty() {
             return Ok(());
         }
-        let core = Arc::clone(&self.core);
+        let core = &*self.core;
         let mut emitted = core.emitted.lock().unwrap_or_else(|e| e.into_inner());
         let mut item = IngressBatch {
             key: core.key,
             seq: *emitted,
-            event_type: self.event_type.clone(),
-            subs: self.subs.clone(),
-            batch: std::mem::take(&mut self.staged),
+            event_type: event_type.clone(),
+            subs: subs.clone(),
+            batch: std::mem::take(staged),
         };
         // First attempt is non-blocking under the lock either way — it
         // is also how a blocking flush detects (and counts) backpressure.
@@ -492,9 +346,9 @@ impl ChannelSource {
                     .trace(|| TraceEvent::ChannelBackpressure { producer: core.key });
                 if !block {
                     let len = full.batch.len();
-                    self.staged = full.batch;
+                    *staged = full.batch;
                     return Err(EngineError::IngressFull {
-                        event_type: self.event_type.to_string(),
+                        event_type: event_type.to_string(),
                         capacity: self.depth,
                         staged: self.depth,
                         batch: len,
@@ -513,6 +367,74 @@ impl ChannelSource {
         self.obs.with_timings(|t| t.channel_block.record(blocked));
         Ok(())
     }
+}
+
+impl Clone for ChannelTarget {
+    fn clone(&self) -> Self {
+        self.core.live.fetch_add(1, Ordering::AcqRel);
+        ChannelTarget {
+            tx: self.tx.clone(),
+            core: Arc::clone(&self.core),
+            depth: self.depth,
+            obs: Arc::clone(&self.obs),
+        }
+    }
+}
+
+impl Drop for ChannelTarget {
+    /// Disconnect the producer if this was its last live handle. Runs
+    /// after the owning [`Source`]'s drop-flush, so the posted emission
+    /// count covers that flush.
+    fn drop(&mut self) {
+        if self.core.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let emitted = *self.core.emitted.lock().unwrap_or_else(|e| e.into_inner());
+            self.core.board.post(self.core.key, emitted);
+        }
+    }
+}
+
+impl std::fmt::Debug for ChannelTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChannelTarget")
+            .field("producer_key", &self.core.key)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A `Send + Clone` ingestion handle on one named input stream, with no
+/// engine borrow: a [`Source`] on the [`ChannelTarget`].
+///
+/// Obtained from [`Engine::channel_source`](crate::Engine::channel_source).
+/// The handle owns an `Arc`-shared snapshot of the event type's resolved
+/// `(query, port)` routing and a sender onto the engine's bounded mpsc
+/// ingress, so it can move to any thread and outlive every engine borrow.
+/// It stages through the same typed builders as the borrowed
+/// [`SourceHandle`](crate::SourceHandle); flushed batches cross the
+/// thread boundary and run when the engine thread pumps
+/// ([`Engine::pump`](crate::Engine::pump) /
+/// [`Engine::run_pipelined`](crate::Engine::run_pipelined)).
+///
+/// **Routing snapshot**: queries registered *after* the handle was opened
+/// do not see its traffic (the copy-on-write routing table keeps the
+/// handle's snapshot alive); open sources after registering queries.
+///
+/// **Shutdown**: dropping the handle flushes the staged batch and — once
+/// the last clone is gone — disconnects the producer, letting
+/// [`Engine::run_pipelined`](crate::Engine::run_pipelined) retire its
+/// lane and return. [`ChannelSource::seal`] additionally stages `CTI(∞)`
+/// first ("this stream is complete"). During a panic unwind the staged
+/// batch is abandoned rather than risked against a full channel, but the
+/// disconnect is still posted, so a crashing provider cannot hang the
+/// pump.
+pub type ChannelSource = Source<ChannelTarget>;
+
+impl Source<ChannelTarget> {
+    /// The origin key stamped on every emission of this producer (shared
+    /// by clones). Keys are assigned in
+    /// [`channel_source`](crate::Engine::channel_source) call order.
+    pub fn producer_key(&self) -> u64 {
+        self.target.core.key
+    }
 
     /// End this stream cleanly: stage `CTI(∞)` ("no more data will ever
     /// arrive here") and drop the handle, which flushes and disconnects.
@@ -528,67 +450,26 @@ impl ChannelSource {
         self.cti(TimePoint::INFINITY);
         // Drop flushes and disconnects.
     }
-
-    /// Abandon the session, handing back whatever was staged but not yet
-    /// flushed (nothing is sent; the disconnect still happens on drop).
-    /// This is the explicit-error-handling escape hatch: pair with
-    /// [`try_flush`](ChannelSource::try_flush) to decide the batch's fate
-    /// instead of trusting the drop-flush.
-    pub fn into_inner(mut self) -> MessageBatch {
-        std::mem::take(&mut self.staged)
-    }
 }
 
-impl Clone for ChannelSource {
+impl Clone for Source<ChannelTarget> {
     /// Clones **share the producer origin**: the same key, emission
     /// counter and event-ID allocator (seqs stay gap-free however the
     /// clones interleave, and the producer disconnects only when the last
-    /// clone drops). Emissions racing through sibling clones are admitted
-    /// in whatever order they win the shared counter — deterministic only
-    /// if the clones are externally synchronised. For the full
-    /// order-insensitivity guarantee give each provider thread its own
-    /// [`channel_source`](crate::Engine::channel_source).
+    /// clone drops). A clone starts with an empty staging batch and the
+    /// original's auto-flush bound. Emissions racing through sibling
+    /// clones are admitted in whatever order they win the shared counter —
+    /// deterministic only if the clones are externally synchronised. For
+    /// the full order-insensitivity guarantee give each provider thread
+    /// its own [`channel_source`](crate::Engine::channel_source).
     fn clone(&self) -> Self {
-        self.core.live.fetch_add(1, Ordering::AcqRel);
-        ChannelSource {
+        Source {
+            target: self.target.clone(),
             event_type: self.event_type.clone(),
             arity: self.arity,
             subs: self.subs.clone(),
-            tx: self.tx.clone(),
-            core: Arc::clone(&self.core),
             staged: MessageBatch::new(),
             autoflush: self.autoflush,
-            depth: self.depth,
-            obs: Arc::clone(&self.obs),
-        }
-    }
-}
-
-impl std::fmt::Debug for ChannelSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelSource")
-            .field("event_type", &self.event_type)
-            .field("producer_key", &self.core.key)
-            .field("arity", &self.arity)
-            .field("subscribers", &self.subscriber_count())
-            .field("staged", &self.staged.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for ChannelSource {
-    /// Flush the staged batch (blocking — the pump will drain it), then
-    /// disconnect the producer if this was its last live handle. During a
-    /// panic unwind the staged data is abandoned instead of risking a
-    /// block on a full channel, but the disconnect is still posted so the
-    /// pump can retire the lane.
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            self.flush();
-        }
-        if self.core.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let emitted = *self.core.emitted.lock().unwrap_or_else(|e| e.into_inner());
-            self.core.board.post(self.core.key, emitted);
         }
     }
 }
@@ -794,6 +675,7 @@ mod tests {
     use cedr_algebra::expr::Pred;
     use cedr_lang::catalog::FieldType;
     use cedr_runtime::ConsistencySpec;
+    use cedr_temporal::Value;
 
     fn tick_engine(config: EngineConfig) -> (Engine, crate::QueryId) {
         let mut e = Engine::with_config(config);

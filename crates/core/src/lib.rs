@@ -4,13 +4,13 @@
 //! registers standing queries (from CEDR query text or the programmatic
 //! [`builder::PlanBuilder`]), routes provider streams to them, applies
 //! per-query consistency specs, and exposes a **sessioned I/O surface**:
-//! typed [`SourceHandle`] ingestion sessions with bounded-ingress
-//! backpressure on the way in, incremental [`Subscription`] change-stream
-//! cursors on the way out, plus a unified [`Engine::metrics`](engine::Engine::metrics)
-//! telemetry snapshot. For
-//! concurrent providers, [`ChannelSource`] is the `Send + Clone` sibling
-//! of `SourceHandle`: producer threads feed a bounded channel while the
-//! engine pumps ([`Engine::pump`](engine::Engine::pump) /
+//! typed [`Source`] ingestion sessions with bounded backpressure on the
+//! way in, incremental [`Subscription`] change-stream cursors on the way
+//! out, plus a unified [`Engine::metrics`](engine::Engine::metrics)
+//! telemetry snapshot. A [`Source`] comes in two targets: the borrowed
+//! [`SourceHandle`] flushes into the engine's ingress queue, and the
+//! `Send + Clone` [`ChannelSource`] lets producer threads feed a bounded
+//! channel while the engine pumps ([`Engine::pump`](engine::Engine::pump) /
 //! [`Engine::run_pipelined`](engine::Engine::run_pipelined)), with
 //! multi-producer runs bit-identical to single-threaded ingestion — see
 //! [`ingest`] for the "which handle do I want?" table.
@@ -59,7 +59,7 @@ pub use engine::{
     DEFAULT_TRACE_CAPACITY,
 };
 pub use ingest::{ChannelSource, IngressStats, PumpProgress};
-pub use session::{SourceHandle, Subscription, DEFAULT_AUTOFLUSH};
+pub use session::{Source, SourceHandle, Subscription, DEFAULT_AUTOFLUSH};
 
 // Observability surface: [`Engine::metrics`] returns these `cedr-obs`
 // types; re-export the ones applications and tests touch directly.

@@ -123,19 +123,34 @@ pub fn payload_columns_over_where(
     )
 }
 
-/// Lazily-built [`ColumnarView`] cell. Cloning a batch shares the cell
-/// (the view is immutable once built, and clones hold identical message
-/// runs); any mutation of the batch swaps in a fresh, unbuilt cell.
-#[derive(Clone, Default)]
-struct ColumnarCache(Arc<OnceLock<ColumnarView>>);
+/// A lazily-built cell over a batch's messages (its [`ColumnarView`] or
+/// its [`PayloadColumns`]). Cloning a batch shares the cell: the contents
+/// are immutable once built, and clones hold identical message runs. Any
+/// mutation of the batch resets the cell without touching a clone's view:
+/// it is emptied in place when this batch holds the only reference (no
+/// allocation on the staging hot path), and detached onto a fresh,
+/// unbuilt cell when a clone shares it.
+#[derive(Clone)]
+struct Cache<T>(Arc<OnceLock<T>>);
 
-impl ColumnarCache {
-    fn get_or_build(&self, msgs: &[Message]) -> &ColumnarView {
-        self.0.get_or_init(|| ColumnarView::over(msgs))
+impl<T> Default for Cache<T> {
+    fn default() -> Self {
+        Cache(Arc::default())
+    }
+}
+
+impl<T> Cache<T> {
+    fn get_or_build(&self, build: impl FnOnce() -> T) -> &T {
+        self.0.get_or_init(build)
     }
 
     fn reset(&mut self) {
-        self.0 = Arc::new(OnceLock::new());
+        match Arc::get_mut(&mut self.0) {
+            Some(cell) => {
+                cell.take();
+            }
+            None => self.0 = Arc::default(),
+        }
     }
 
     fn is_built(&self) -> bool {
@@ -143,41 +158,12 @@ impl ColumnarCache {
     }
 }
 
-impl fmt::Debug for ColumnarCache {
+impl<T> fmt::Debug for Cache<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(if self.is_built() {
-            "ColumnarCache(built)"
+            "Cache(built)"
         } else {
-            "ColumnarCache(empty)"
-        })
-    }
-}
-
-/// Lazily-built [`PayloadColumns`] cell: same share-on-clone /
-/// fresh-on-mutation contract as [`ColumnarCache`], for the payload side.
-#[derive(Clone, Default)]
-struct PayloadCache(Arc<OnceLock<PayloadColumns>>);
-
-impl PayloadCache {
-    fn get_or_build(&self, msgs: &[Message]) -> &PayloadColumns {
-        self.0.get_or_init(|| payload_columns_over(msgs))
-    }
-
-    fn reset(&mut self) {
-        self.0 = Arc::new(OnceLock::new());
-    }
-
-    fn is_built(&self) -> bool {
-        self.0.get().is_some()
-    }
-}
-
-impl fmt::Debug for PayloadCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.is_built() {
-            "PayloadCache(built)"
-        } else {
-            "PayloadCache(empty)"
+            "Cache(empty)"
         })
     }
 }
@@ -186,8 +172,8 @@ impl fmt::Debug for PayloadCache {
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct MessageBatch {
     msgs: Vec<Message>,
-    columnar: ColumnarCache,
-    payloads: PayloadCache,
+    columnar: Cache<ColumnarView>,
+    payloads: Cache<PayloadColumns>,
 }
 
 /// Equality is over the message run only; the columnar cache is a
@@ -208,8 +194,8 @@ impl MessageBatch {
     pub fn with_capacity(n: usize) -> Self {
         MessageBatch {
             msgs: Vec::with_capacity(n),
-            columnar: ColumnarCache::default(),
-            payloads: PayloadCache::default(),
+            columnar: Cache::default(),
+            payloads: Cache::default(),
         }
     }
 
@@ -271,7 +257,8 @@ impl MessageBatch {
     /// batch built from another's messages starts with a fresh, unbuilt
     /// cache.
     pub fn columnar(&self) -> &ColumnarView {
-        self.columnar.get_or_build(&self.msgs)
+        self.columnar
+            .get_or_build(|| ColumnarView::over(&self.msgs))
     }
 
     /// Has the columnar view been materialised yet? Observability hook for
@@ -286,7 +273,8 @@ impl MessageBatch {
     /// mutation invalidates this batch's cache without touching clones',
     /// and batches built from its messages start fresh and unbuilt.
     pub fn payload_columns(&self) -> &PayloadColumns {
-        self.payloads.get_or_build(&self.msgs)
+        self.payloads
+            .get_or_build(|| payload_columns_over(&self.msgs))
     }
 
     /// Have the payload columns been materialised yet?
@@ -303,8 +291,8 @@ impl From<Vec<Message>> for MessageBatch {
     fn from(msgs: Vec<Message>) -> Self {
         MessageBatch {
             msgs,
-            columnar: ColumnarCache::default(),
-            payloads: PayloadCache::default(),
+            columnar: Cache::default(),
+            payloads: Cache::default(),
         }
     }
 }

@@ -19,6 +19,11 @@
 //! A second test pins the output constructors behind those counts to one
 //! allocation per shared slice: payload concatenation, composite
 //! lineages, aggregate segments, and none for a primitive lineage.
+//!
+//! A third pins the ingestion front end in the same "measured + 10 %"
+//! style: allocations per message staged through `stage_batch` + `flush`
+//! and per handle opened, for both the borrowed `SourceHandle` and the
+//! `ChannelSource`.
 
 use cedr::algebra::relational::segment_event;
 use cedr::core::prelude::*;
@@ -203,6 +208,95 @@ fn run_round_stays_within_its_allocation_budget() {
             per <= ceiling,
             "{level}/{family}: {per:.2} allocations per input message, ceiling {ceiling:.2}; \
              measured:\n{table}"
+        );
+    }
+}
+
+/// `(handle, allocations per staged message, allocations per handle
+/// opened)`: the ingestion front end's ceilings.
+#[rustfmt::skip]
+const STAGING_CEILING: &[(&str, f64, f64)] = &[
+    ("SourceHandle", 0.0035, 3.30),
+    ("ChannelSource", 0.0035, 4.55),
+];
+
+#[test]
+fn staging_and_opening_stay_within_their_allocation_budget() {
+    const MESSAGES: u64 = 4096;
+    const OPENS: usize = 64;
+    // Explicit capacities: a tiny ingress or channel from the environment
+    // would make the flush drain or block, which is not staging.
+    let mut engine = Engine::with_config(EngineConfig::serial().with_trace_capacity(0));
+    engine.register_event_type("T", vec![("v", FieldType::Int)]);
+    let plan = PlanBuilder::source("T").select(Pred::True).into_plan();
+    engine
+        .register_plan("q", plan, ConsistencySpec::middle())
+        .unwrap();
+    let batch: MessageBatch = (0..MESSAGES)
+        .map(|i| {
+            let ev = engine.event("T", i, vec![Value::Int(i as i64)]).unwrap();
+            Message::insert_event(ev)
+        })
+        .collect();
+
+    let mut handle = engine.source("T").unwrap().manual_flush();
+    let handle_staged = allocations(|| {
+        handle.stage_batch(&batch);
+        handle.flush();
+    });
+    drop(handle);
+    let handle_opened = allocations(|| {
+        for _ in 0..OPENS {
+            drop(engine.source("T").unwrap());
+        }
+    });
+    engine.run_to_quiescence();
+
+    let mut channel = engine.channel_source("T").unwrap().manual_flush();
+    let channel_staged = allocations(|| {
+        channel.stage_batch(&batch);
+        channel.flush();
+    });
+    let mut held = Vec::with_capacity(OPENS);
+    let channel_opened = allocations(|| {
+        for _ in 0..OPENS {
+            held.push(engine.channel_source("T").unwrap());
+        }
+    });
+    drop(held);
+    drop(channel);
+    engine.run_pipelined().unwrap();
+    assert_eq!(engine.ingress_stats().admitted_messages, 2 * MESSAGES);
+
+    let measured = [
+        ("SourceHandle", handle_staged, handle_opened),
+        ("ChannelSource", channel_staged, channel_opened),
+    ]
+    .map(|(name, staged, opened)| {
+        (
+            name,
+            staged as f64 / MESSAGES as f64,
+            opened as f64 / OPENS as f64,
+        )
+    });
+    let table = measured
+        .iter()
+        .map(|(name, staged, opened)| format!("    ({name:?}, {staged:.4}, {opened:.2}),"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    for (&(name, staged, opened), &(n, staged_ceiling, opened_ceiling)) in
+        measured.iter().zip(STAGING_CEILING)
+    {
+        assert_eq!(name, n, "measured:\n{table}");
+        assert!(
+            staged <= staged_ceiling,
+            "{name}: {staged:.4} allocations per staged message, ceiling \
+             {staged_ceiling:.4}; measured:\n{table}"
+        );
+        assert!(
+            opened <= opened_ceiling,
+            "{name}: {opened:.2} allocations per handle opened, ceiling \
+             {opened_ceiling:.2}; measured:\n{table}"
         );
     }
 }

@@ -353,3 +353,55 @@ fn bounded_ingress_preserves_results() {
         );
     }
 }
+
+#[test]
+fn insert_at_the_infinity_tick_is_a_typed_error() {
+    // `u64::MAX` is the tick reserved for ∞: every point-event builder
+    // returns a typed error naming the type and the tick, stages nothing
+    // and burns no event ID, instead of panicking.
+    let mut engine = Engine::new();
+    register_queries(&mut engine, ConsistencySpec::middle());
+    let is_out_of_range = |r: Result<_, EngineError>| match r {
+        Err(e @ EngineError::TimeOutOfRange { .. }) => {
+            let msg = e.to_string();
+            assert!(
+                msg.contains("A_T") && msg.contains(&u64::MAX.to_string()),
+                "{msg}"
+            );
+            true
+        }
+        _ => false,
+    };
+    assert!(is_out_of_range(
+        engine.event("A_T", u64::MAX, vec![Value::Int(0)]).map(drop)
+    ));
+    let first = engine.event("A_T", 1, vec![Value::Int(1)]).unwrap();
+
+    let mut handle = engine.source("A_T").unwrap();
+    assert!(is_out_of_range(
+        handle.insert(u64::MAX, vec![Value::Int(0)]).map(drop)
+    ));
+    assert_eq!(handle.staged_len(), 0);
+    let next = handle.insert(2, vec![Value::Int(2)]).unwrap();
+    assert_eq!(
+        next.id.0,
+        first.id.0 + 1,
+        "the rejected insert minted no ID"
+    );
+    drop(handle);
+
+    let mut channel = engine.channel_source("A_T").unwrap();
+    assert!(is_out_of_range(
+        channel.insert(u64::MAX, vec![Value::Int(0)]).map(drop)
+    ));
+    assert_eq!(channel.staged_len(), 0);
+    channel.insert(3, vec![Value::Int(3)]).unwrap();
+    drop(channel);
+    engine.run_pipelined().unwrap();
+    engine.run_to_quiescence();
+    assert_eq!(
+        engine.ingress_stats().admitted_messages,
+        2,
+        "only the two valid inserts reached the engine"
+    );
+}
